@@ -1,16 +1,19 @@
-"""Cloud-side audit log of every handled request.
+"""Cloud-side audit log: one record per handled request.
 
 The paper identifies attack failures "from response messages"
 (Section VIII); the audit log is the reproduction's equivalent record —
 every request, its claimed origin, and the outcome code.  It also powers
 the Figure 1/3/4 sequence traces.
 
-The log doubles as the cloud's single observability feed: when an
-observer is installed (``AuditLog(observer=...)``), every recorded entry
-is forwarded to :meth:`~repro.obs.observer.Observer.on_audit`, which the
-:class:`~repro.obs.runtime.Observability` runtime turns into message
-counters and exchange spans — one source of truth, no duplicate
-bookkeeping, and counter totals provably equal to the log's.
+Each handled request is one :class:`AuditEntry` (the request record),
+built once by :class:`~repro.cloud.service.CloudService` and shared by
+every consumer: the log itself, the forensic timeline, and — when an
+observer is installed (``AuditLog(observer=...)``) — the observer, which
+receives each appended record through one
+:meth:`~repro.obs.observer.Observer.on_record` call and derives message
+counters, RED/SLO series and exchange spans from the records when read.
+One source of truth, no duplicate bookkeeping, and counter totals
+provably equal to the log's.
 """
 
 from __future__ import annotations
@@ -18,12 +21,26 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 
-class AuditEntry:
-    """One handled request.
+class _VolatileEvidence:
+    """Volatile record slots, on a base class so ``AuditEntry.__slots__``
+    names exactly the logged fields (identity, pickling, fingerprints)."""
+
+    __slots__ = ("action", "trail", "handle_ns", "pdp_ns")
+
+
+class AuditEntry(_VolatileEvidence):
+    """One handled request (or cloud-internal event): the request record.
 
     A ``__slots__`` record (one per handled request, so allocation is on
-    the cloud hot path); treat instances as immutable.  Equality and
-    hashing cover all fields — shard merges compare and pickle entries.
+    the cloud hot path); treat instances as immutable once appended.
+    Equality, hashing and pickling cover the seven logged fields — shard
+    merges compare and pickle entries.  The four inherited slots are
+    *volatile* evidence for observers, excluded from identity exactly as
+    :attr:`~repro.obs.detect.timeline.ForensicEvent.decision_trace` is:
+    the endpoint ``action`` (``""`` for cloud-internal entries), the
+    PDP's rule ``trail``, and the wall-clock ``handle_ns``/``pdp_ns``
+    durations (``None`` when not timed, or once an observer has folded
+    them into its aggregates).
     """
 
     __slots__ = (
@@ -42,9 +59,10 @@ class AuditEntry:
         source_node: str,
         source_ip: str,
         summary: str,
-        outcome: str,  # "ok" or a rejection code
+        outcome: str = "ok",  # "ok" or a rejection code
         detail: str = "",
         trace_id: str = "",  # causal chain id from the request packet, if any
+        action: str = "",  # endpoint action ("" for cloud-internal entries)
     ) -> None:
         self.time = time
         self.source_node = source_node
@@ -53,6 +71,10 @@ class AuditEntry:
         self.outcome = outcome
         self.detail = detail
         self.trace_id = trace_id
+        self.action = action
+        self.trail = ""
+        self.handle_ns: Optional[int] = None
+        self.pdp_ns: Optional[int] = None
 
     def _key(self) -> tuple:
         return (
@@ -73,6 +95,9 @@ class AuditEntry:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __reduce__(self) -> tuple:
+        return (AuditEntry, self._key())
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AuditEntry(time={self.time!r}, source_node={self.source_node!r}, "
@@ -92,29 +117,21 @@ class AuditEntry:
 
 
 class AuditLog:
-    """Append-only record of handled requests (optionally observed)."""
+    """Append-only record of handled requests (optionally observed).
 
-    def __init__(self, observer: Optional[Any] = None) -> None:
+    *scope* (the cloud's design name) is the records' RED scope.
+    """
+
+    def __init__(self, observer: Optional[Any] = None, scope: str = "") -> None:
         self.entries: List[AuditEntry] = []
         self._observer = observer
+        self._scope = scope
 
-    def record(
-        self,
-        time: float,
-        source_node: str,
-        source_ip: str,
-        summary: str,
-        outcome: str = "ok",
-        detail: str = "",
-        trace_id: str = "",
-    ) -> None:
-        """Append one entry; forward it to the observer when installed."""
-        entry = AuditEntry(
-            time, source_node, source_ip, summary, outcome, detail, trace_id
-        )
+    def record(self, entry: AuditEntry) -> None:
+        """Append one record; hand it to the observer when installed."""
         self.entries.append(entry)
         if self._observer is not None:
-            self._observer.on_audit(entry)
+            self._observer.on_record(self._scope, entry)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.cloud.audit import AuditEntry
 from repro.cloud.pdp.model import AuthzRequest, Decision
 from repro.cloud.relay import QueuedCommand
 from repro.core.errors import RequestRejected
@@ -92,7 +93,14 @@ class EndpointHandlers:
                     svc.bind_probe_failures.get(argument, 0) + 1
                 )
         if not decision.allowed:
-            raise decision.rejection
+            try:
+                raise decision.rejection
+            finally:
+                # The traceback keeps this frame alive; dropping the
+                # decision here stops frame -> decision -> exception ->
+                # traceback -> frame from forming a cycle only the cyclic
+                # collector could reclaim (once per rejected request).
+                del decision
         return decision
 
     def _decide(self, request: AuthzRequest) -> Decision:
@@ -265,7 +273,9 @@ class EndpointHandlers:
         shadow = svc.shadows.get(device_id)
         if shadow.is_bound:
             shadow.mark_unbound(svc.now)
-        svc.audit.record(svc.now, "cloud", "-", f"binding-{reason}:{device_id}", "ok")
+        svc.audit.record(
+            AuditEntry(svc.now, "cloud", "-", f"binding-{reason}:{device_id}")
+        )
 
     # ------------------------------------------------------------------
     # post-binding traffic

@@ -134,8 +134,9 @@ class Decision:
         allowed: bool,
         rejection: Optional[Exception],
         evaluations: Tuple[RuleEval, ...],
-        obligations: Tuple[Tuple[str, Any], ...] = (),
-        context: Optional[Dict[str, Any]] = None,
+        obligations: Tuple[Tuple[str, Any], ...],
+        context: Dict[str, Any],
+        trace: str,
     ) -> None:
         self.allowed = allowed
         #: the exact exception the enforcement point raises on denial —
@@ -148,21 +149,18 @@ class Decision:
         self.obligations = obligations
         #: facts resolved while deciding (authenticated user, binding,
         #: owner/grantee flag, rebind-replacement flag, ...)
-        self.context = context if context is not None else {}
-        self._trace: Optional[str] = None
+        self.context = context
+        #: the rendered rule trail (memoized by the engine)
+        self._trace = trace
 
     def trace(self) -> str:
-        """The ordered rule trail as one compact string (memoized).
+        """The ordered rule trail as one compact string.
 
         This is what flows into tracer exchange leaves and rides on
         forensic events, e.g.
         ``require-user:pass>check-rebind:deny(already-bound)``.
         """
-        trace = self._trace
-        if trace is None:
-            trace = ">".join(e.render() for e in self.evaluations)
-            self._trace = trace
-        return trace
+        return self._trace
 
     def explain(self) -> str:
         """Multi-line human rendering (diagnostics, ``repro designs``)."""

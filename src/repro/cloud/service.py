@@ -14,7 +14,7 @@ from time import perf_counter_ns
 from typing import Any, Dict, Optional
 
 from repro.cloud.accounts import AccountStore
-from repro.cloud.audit import AuditLog
+from repro.cloud.audit import AuditEntry, AuditLog
 from repro.cloud.authz import AuthorizationCache, AuthzVersion
 from repro.cloud.bindings import BindingStore
 from repro.cloud.handlers import EndpointHandlers
@@ -68,26 +68,6 @@ _FORENSIC_KINDS = {
     DeviceFetch: "fetch",
 }
 
-#: Message type -> PDP action name, the RED accounting key (matches
-#: :data:`repro.cloud.pdp.model.ACTIONS`); used only on observed runs.
-_ENDPOINT_ACTIONS = {
-    LoginRequest: "login",
-    DevTokenRequest: "dev-token",
-    BindTokenRequest: "bind-token",
-    StatusMessage: "status",
-    BindMessage: "bind",
-    UnbindMessage: "unbind",
-    ControlMessage: "control",
-    ScheduleUpdate: "schedule",
-    QueryRequest: "query",
-    BindingInfoRequest: "binding-info",
-    EventPollRequest: "event-poll",
-    ShareRequest: "share",
-    ShareRevoke: "share-revoke",
-    DeviceFetch: "fetch",
-}
-
-
 class CloudService:
     """A vendor's IoT cloud on the simulated internet."""
 
@@ -129,18 +109,21 @@ class CloudService:
         # are thin enforcement points over its decisions.
         self.policy_spec = PolicySpec.from_design(design)
         self.pdp = PolicyDecisionPoint(self, self.policy_spec)
-        # Observability: the audit log feeds the observer (one source of
-        # truth for message counters/spans) and shadows report Figure 2
-        # transitions.  With the null observer installed, both stores
-        # keep their fast uninstrumented paths.
+        # Observability: the audit log hands each request record to the
+        # observer (one source of truth for message counters, RED/SLO
+        # and spans) and shadows report Figure 2 transitions.  With the
+        # null observer installed, both stores keep their fast
+        # uninstrumented paths.
         self._observer = env.observer
-        #: precomputed fast-path flag: when False the per-packet
-        #: ``profile()`` context manager is never even allocated
+        #: precomputed fast-path flag: when False no request is timed
         self._observed = self._observer is not NULL_OBSERVER
         instrumented = self._observer if self._observed else None
         self.shadows = ShadowStore(observer=instrumented)
         self.relay = Relay()
-        self.audit = AuditLog(observer=instrumented)
+        self.audit = AuditLog(observer=instrumented, scope=design.name)
+        #: the record of the request being dispatched (the PDP notes its
+        #: decision on it); None between requests
+        self.open_record: Optional[AuditEntry] = None
         #: per-account unknown-device bind failures (enumeration defence)
         self.bind_probe_failures: dict = {}
         self.events = EventFeed()
@@ -149,23 +132,26 @@ class CloudService:
         self.forensics = ForensicTimeline()
         self._handlers = EndpointHandlers(self)
         handlers = self._handlers
-        #: type -> bound handler; replaces a 14-branch isinstance chain on
-        #: the per-packet dispatch path (message types are never subclassed)
-        self._dispatch_table = {
-            LoginRequest: handlers.handle_login,
-            DevTokenRequest: handlers.handle_dev_token_request,
-            BindTokenRequest: handlers.handle_bind_token_request,
-            StatusMessage: handlers.handle_status,
-            BindMessage: handlers.handle_bind,
-            UnbindMessage: handlers.handle_unbind,
-            ControlMessage: handlers.handle_control,
-            ScheduleUpdate: handlers.handle_schedule,
-            QueryRequest: handlers.handle_query,
-            BindingInfoRequest: handlers.handle_binding_info,
-            EventPollRequest: handlers.handle_event_poll,
-            ShareRequest: handlers.handle_share,
-            ShareRevoke: handlers.handle_share_revoke,
-            DeviceFetch: handlers.handle_fetch,
+        #: type -> (PDP action, bound handler); replaces a 14-branch
+        #: isinstance chain on the per-packet dispatch path (message types
+        #: are never subclassed).  The action (one of
+        #: :data:`repro.cloud.pdp.model.ACTIONS`) rides on each request
+        #: record as its RED accounting key.
+        self._endpoints = {
+            LoginRequest: ("login", handlers.handle_login),
+            DevTokenRequest: ("dev-token", handlers.handle_dev_token_request),
+            BindTokenRequest: ("bind-token", handlers.handle_bind_token_request),
+            StatusMessage: ("status", handlers.handle_status),
+            BindMessage: ("bind", handlers.handle_bind),
+            UnbindMessage: ("unbind", handlers.handle_unbind),
+            ControlMessage: ("control", handlers.handle_control),
+            ScheduleUpdate: ("schedule", handlers.handle_schedule),
+            QueryRequest: ("query", handlers.handle_query),
+            BindingInfoRequest: ("binding-info", handlers.handle_binding_info),
+            EventPollRequest: ("event-poll", handlers.handle_event_poll),
+            ShareRequest: ("share", handlers.handle_share),
+            ShareRevoke: ("share-revoke", handlers.handle_share_revoke),
+            DeviceFetch: ("fetch", handlers.handle_fetch),
         }
         self._sweep_handle = None
         self._sweep_active = False
@@ -199,7 +185,7 @@ class CloudService:
             expired = self.shadows.sweep_offline(self.now, self.design.offline_timeout)
             for device_id in expired:
                 self.audit.record(
-                    self.now, "cloud", "-", f"offline-timeout:{device_id}", "ok"
+                    AuditEntry(self.now, "cloud", "-", f"offline-timeout:{device_id}")
                 )
                 bound = self.bindings.bound_user(device_id)
                 if bound is not None:
@@ -382,8 +368,8 @@ class CloudService:
         self.bind_probe_failures = dict(state["bind_probe_failures"])
         # Audit history is installed directly, NOT re-record()ed: the
         # observer's audit counters are restored wholesale from the
-        # image's metrics snapshot by the fleet-level restore, so firing
-        # on_audit here would double-count.
+        # image's metrics snapshot by the fleet-level restore, so handing
+        # these records to the observer here would double-count.
         self.audit.entries = list(state["audit_entries"])
         self.tokens.restore_rng_state(state["token_rng"])
         # Replaying records as upserts inflated every churn counter;
@@ -413,53 +399,44 @@ class CloudService:
     # -- request dispatch -----------------------------------------------------------
 
     def handle_packet(self, packet: Packet) -> Message:
-        """Network entry point: dispatch by message type, audit everything.
+        """Network entry point: dispatch by message type, record everything.
 
-        Binding-affecting messages additionally land on the forensic
-        timeline — on both outcomes — with the pre-dispatch binding
-        owner and claimed actor captured here, where the request's
-        before/after states are both visible.
+        On observed runs the request is wall-clock timed from here until
+        its evidence is appended (the RED duration window); the
+        NULL_OBSERVER path reads no clock at all (precomputed boolean,
+        not a no-op call).
         """
-        # NULL_OBSERVER fast path: skip the profile() context-manager
-        # allocation — and all RED timing below — entirely (precomputed
-        # boolean, not a no-op call).
         if self._observed:
-            with self._observer.profile("cloud.handle_packet"):
-                return self._handle_observed(packet)
+            return self._handle_and_record(packet, perf_counter_ns())
         return self._handle_and_record(packet)
 
-    def _handle_observed(self, packet: Packet) -> Message:
-        """Observed-path dispatch: RED-time the request around handling.
+    def _handle_and_record(
+        self, packet: Packet, started: Optional[int] = None
+    ) -> Message:
+        """Dispatch one packet and append its one request record.
 
-        Rejections are requests the cloud *served* (denying an attacker
-        is correct behaviour): they are RED errors keyed by rejection
-        code, not availability failures, so the exception re-raises
-        after recording.
+        The record is built before dispatch and held open while the
+        handler runs, so the PDP can note its rule trail (and timing) on
+        it.  Rejections are requests the cloud *served* (denying an
+        attacker is correct behaviour): they are recorded with their
+        code and re-raised.  Binding-affecting messages additionally
+        land on the forensic timeline — on both outcomes — with the
+        pre-dispatch binding owner and claimed actor captured here,
+        where the request's before/after states are both visible.
         """
-        action = _ENDPOINT_ACTIONS.get(type(packet.message))
-        if action is None:
-            return self._handle_and_record(packet)
-        trace = packet.trace
-        trace_id = trace.trace_id if trace is not None else ""
-        design = self.design.name
-        started = perf_counter_ns()
-        try:
-            response = self._handle_and_record(packet)
-        except RequestRejected as exc:
-            self._observer.on_request(
-                design, action, exc.code,
-                perf_counter_ns() - started, trace_id, self.now,
-            )
-            raise
-        self._observer.on_request(
-            design, action, "ok", perf_counter_ns() - started, trace_id, self.now
-        )
-        return response
-
-    def _handle_and_record(self, packet: Packet) -> Message:
-        """Dispatch one packet, auditing and (when watched) evidencing it."""
         message = packet.message
-        trace_id = packet.trace.trace_id if packet.trace is not None else ""
+        endpoint = self._endpoints.get(type(message))
+        if endpoint is None:
+            raise ProtocolError(f"cloud has no endpoint for {type(message).__name__}")
+        action, handler = endpoint
+        record = AuditEntry(
+            self.now,
+            packet.src,
+            str(packet.observed_src_ip),
+            describe(message),
+            trace_id=packet.trace.trace_id if packet.trace is not None else "",
+            action=action,
+        )
         forensic_kind = _FORENSIC_KINDS.get(type(message))
         bound_before = ""
         actor = ""
@@ -468,61 +445,62 @@ class CloudService:
             if device_id:
                 bound_before = self.bindings.bound_user(device_id) or ""
             actor = self._claimed_actor(message)
+        self.open_record = record
         try:
-            response = self._dispatch(packet, message)
+            response = handler(packet, message)
         except RequestRejected as exc:
-            decision_trace = self._collect_decision_trace()
-            self.audit.record(
-                self.now,
-                packet.src,
-                str(packet.observed_src_ip),
-                describe(message),
-                exc.code,
-                exc.detail,
-                trace_id,
+            record.outcome = exc.code
+            record.detail = exc.detail
+            self._append_evidence(
+                record, packet, forensic_kind, actor, bound_before, None, started
             )
-            if forensic_kind is not None:
-                self._record_forensic(
-                    packet, forensic_kind, exc.code, actor, bound_before,
-                    decision_trace=decision_trace,
-                )
             raise
-        decision_trace = self._collect_decision_trace()
-        self.audit.record(
-            self.now,
-            packet.src,
-            str(packet.observed_src_ip),
-            describe(message),
-            trace_id=trace_id,
+        finally:
+            self.open_record = None
+        self._append_evidence(
+            record, packet, forensic_kind, actor, bound_before, response, started
         )
+        return response
+
+    def _append_evidence(
+        self,
+        record: AuditEntry,
+        packet: Packet,
+        forensic_kind: Optional[str],
+        actor: str,
+        bound_before: str,
+        response: Optional[Message],
+        started: Optional[int],
+    ) -> None:
+        """Append the request's record, then its forensic event (if watched).
+
+        The forensic event reuses the record's summary, origin IP, trace
+        id and rule trail; on observed runs the handling duration closes
+        once both are appended.
+        """
+        self.audit.record(record)
         if forensic_kind is not None:
             replaced = isinstance(response, Response) and bool(
                 response.payload.get("replaced", False)
             )
-            self._record_forensic(
-                packet, forensic_kind, "ok", actor, bound_before, replaced,
-                decision_trace=decision_trace,
+            trace = packet.trace
+            self.forensics.record(
+                record.time,
+                getattr(packet.message, "device_id", None) or "",
+                forensic_kind,
+                record.summary,
+                record.source_node,
+                record.source_ip,
+                record.trace_id,
+                trace.span_id if trace is not None else "",
+                record.outcome,
+                actor,
+                bound_before,
+                replaced,
+                record.trail,
             )
-        return response
-
-    def _collect_decision_trace(self) -> str:
-        """Collect the PDP's decision for the exchange just dispatched.
-
-        Runs *before* the exchange's audit entry is recorded so a real
-        observer can attach the rule trace to that entry's evidence;
-        returns the compact trace for the forensic event.  The trace
-        string is only rendered when someone is watching — a real
-        observer or a live forensic sink — so uninstrumented runs keep
-        the null-observer fast path.
-        """
-        decision = self.pdp.take_last_decision()
-        if decision is None:
-            return ""
-        if self._observed:
-            self._observer.on_authz_decision(decision)
-        elif not self.forensics.has_sinks():
-            return ""
-        return decision.trace()
+        if started is not None:
+            record.handle_ns = perf_counter_ns() - started
 
     def _claimed_actor(self, message: Message) -> str:
         """The identity a watched message claims, without enforcing it.
@@ -543,40 +521,6 @@ class CloudService:
             record = self.tokens.lookup(bind_token, TokenKind.BIND)
             return record.subject if record is not None else ""
         return getattr(message, "device_id", None) or ""
-
-    def _record_forensic(
-        self,
-        packet: Packet,
-        kind: str,
-        outcome: str,
-        actor: str,
-        bound_before: str,
-        replaced: bool = False,
-        decision_trace: str = "",
-    ) -> None:
-        """Append one event to the forensic timeline (always on)."""
-        trace = packet.trace
-        self.forensics.record(
-            time=self.now,
-            device_id=getattr(packet.message, "device_id", None) or "",
-            kind=kind,
-            summary=describe(packet.message),
-            source=packet.src,
-            origin_ip=str(packet.observed_src_ip),
-            trace_id=trace.trace_id if trace is not None else "",
-            span_id=trace.span_id if trace is not None else "",
-            outcome=outcome,
-            actor=actor,
-            bound_before=bound_before,
-            replaced=replaced,
-            decision_trace=decision_trace,
-        )
-
-    def _dispatch(self, packet: Packet, message: Message) -> Message:
-        handler = self._dispatch_table.get(type(message))
-        if handler is None:
-            raise ProtocolError(f"cloud has no endpoint for {type(message).__name__}")
-        return handler(packet, message)
 
     # -- convenience accessors for experiments/tests ------------------------------
 

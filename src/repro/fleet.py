@@ -39,7 +39,6 @@ from repro.identity.tokens import TokenKind
 from repro.net.address import FleetIpAllocator
 from repro.net.network import Network
 from repro.net.provisioning import ProvisioningAir, WifiCredentials
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.sim.environment import Environment
 
@@ -511,10 +510,8 @@ class FleetDeployment:
         fleet._attacker_token = image.attacker_token
         fleet.prebound = True
         obs = fleet.env.observer
-        if image.metrics is not None and hasattr(obs, "metrics"):
-            registry = MetricsRegistry()
-            registry.merge_snapshot(image.metrics)
-            obs.metrics = registry
+        if image.metrics is not None and hasattr(obs, "restore_metrics"):
+            obs.restore_metrics(image.metrics)
         return fleet
 
     def bound_users(self) -> Dict[str, Optional[str]]:

@@ -128,7 +128,9 @@ class ForensicTimeline(RecordStoreBase):
 
     def __init__(self) -> None:
         self._events: List[ForensicEvent] = []
-        self._by_key: Dict[str, int] = {}
+        #: seq -> index into ``_events`` (``e:<seq>`` keys are formatted
+        #: only at the record boundary)
+        self._by_seq: Dict[int, int] = {}
         self._by_device: Dict[str, List[int]] = {}
         self._sinks: List[ForensicSink] = []
         self._next_seq = 0
@@ -143,10 +145,6 @@ class ForensicTimeline(RecordStoreBase):
         """Unsubscribe a consumer; unknown sinks are a no-op."""
         if sink in self._sinks:
             self._sinks.remove(sink)
-
-    def has_sinks(self) -> bool:
-        """Whether any live streaming consumer is subscribed."""
-        return bool(self._sinks)
 
     def record(
         self,
@@ -166,20 +164,9 @@ class ForensicTimeline(RecordStoreBase):
     ) -> ForensicEvent:
         """Append one live event, journal it, and feed the sinks."""
         event = ForensicEvent(
-            seq=self._next_seq,
-            time=time,
-            device_id=device_id,
-            kind=kind,
-            summary=summary,
-            source=source,
-            origin_ip=origin_ip,
-            trace_id=trace_id,
-            span_id=span_id,
-            outcome=outcome,
-            actor=actor,
-            bound_before=bound_before,
-            replaced=replaced,
-            decision_trace=decision_trace,
+            self._next_seq, time, device_id, kind, summary, source, origin_ip,
+            trace_id, span_id, outcome, actor, bound_before, replaced,
+            decision_trace,
         )
         self._append(event)
         # Lazy serialization: the record dict is only materialized when a
@@ -210,18 +197,18 @@ class ForensicTimeline(RecordStoreBase):
     # -- internals -----------------------------------------------------------
 
     def _append(self, event: ForensicEvent) -> None:
-        key = self._key_for_seq(event.seq)
-        if key in self._by_key:
+        seq = event.seq
+        index = self._by_seq.get(seq)
+        if index is not None:
             # Replay upsert of an already-present seq: evidence records
             # are immutable, so an idempotent overwrite keeps indices.
-            self._events[self._by_key[key]] = event
-        else:
-            self._by_key[key] = len(self._events)
-            self._events.append(event)
-            self._by_device.setdefault(event.device_id, []).append(
-                self._by_key[key]
-            )
-        self._next_seq = max(self._next_seq, event.seq + 1)
+            self._events[index] = event
+            return
+        index = self._by_seq[seq] = len(self._events)
+        self._events.append(event)
+        self._by_device.setdefault(event.device_id, []).append(index)
+        if seq >= self._next_seq:
+            self._next_seq = seq + 1
 
     @staticmethod
     def _key_for_seq(seq: int) -> str:
@@ -267,5 +254,8 @@ class ForensicTimeline(RecordStoreBase):
 
     def find_record(self, key: str) -> Optional[Record]:
         """O(1) lookup of one event record by its ``e:<seq>`` key."""
-        index = self._by_key.get(key)
-        return self.to_record(self._events[index]) if index is not None else None
+        seq = int(key[2:]) if key[2:].isdigit() else -1
+        index = self._by_seq.get(seq)
+        if index is None or self._key_for_seq(seq) != key:
+            return None
+        return self.to_record(self._events[index])

@@ -42,8 +42,8 @@ class Observer:
     Subclass and override the hooks you care about.  Hook call sites are
     chosen so that the no-op path stays off the per-event hot loop:
 
-    * :meth:`on_audit` — once per cloud request (the request itself does
-      far more work than an empty call);
+    * :meth:`on_record` — once per cloud request, and only when a real
+      observer is installed (the audit log skips the call otherwise);
     * :meth:`on_shadow_transition` — only wired when a real observer is
       installed (see :class:`~repro.cloud.shadows.ShadowStore`);
     * :meth:`on_scheduler_flush` — once per ``run_until`` batch, not per
@@ -87,41 +87,14 @@ class Observer:
 
     # -- domain hooks (called by the instrumented layers) -------------------
 
-    def on_audit(self, entry: Any) -> None:
-        """One cloud audit entry was recorded (request handled or sweep)."""
+    def on_record(self, scope: str, record: Any) -> None:
+        """The cloud appended one request record (an ``AuditEntry``).
 
-    def on_request(
-        self,
-        design: str,
-        action: str,
-        outcome: str,
-        duration_ns: int,
-        trace_id: str,
-        now: float,
-    ) -> None:
-        """One endpoint request finished (served or policy-rejected).
-
-        The RED record point: *outcome* is ``"ok"`` or the rejection
-        code, *duration_ns* is the wall-clock handler duration, *now*
-        is the virtual timestamp.  Only fired when a real observer is
-        installed — ``CloudService.handle_packet`` guards the call (and
-        the ``perf_counter_ns`` reads around it) behind its precomputed
-        fast-path flag, so uninstrumented runs never reach it.
-        """
-
-    def on_pdp_decide(self, action: str, duration_ns: int) -> None:
-        """The PDP evaluated one request's rule list (cache misses only).
-
-        Same fast-path discipline as :meth:`on_request`: the decision
-        point only times itself when the service is observed.
-        """
-
-    def on_authz_decision(self, decision: Any) -> None:
-        """The cloud's PDP decided one request (a typed ``Decision``).
-
-        Fires after dispatch and *before* the exchange's audit entry is
-        recorded, so implementations can correlate the rule trace with
-        the audit evidence that follows it.
+        The single per-request record point (*scope* is the design
+        name); cloud-internal entries arrive untimed.  The handling
+        duration closes after the call, so implementations read records
+        only once the request has returned.  Never reached on the
+        NULL_OBSERVER path.
         """
 
     def on_shadow_transition(

@@ -98,17 +98,20 @@ class LatencySketch:
         """Record one sample (optionally tagged with its trace id)."""
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         if value <= 0.0:
             self.zero_count += 1
             return
-        index = self._index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        index = math.ceil(math.log(value) / self._log_gamma)  # _index, inlined
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
         if trace_id:
-            candidate = (value, trace_id)
-            if index not in self.exemplars or candidate > self.exemplars[index]:
-                self.exemplars[index] = candidate
+            exemplar = self.exemplars.get(index)
+            if exemplar is None or (value, trace_id) > exemplar:
+                self.exemplars[index] = (value, trace_id)
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the *q*-quantile (``0 <= q <= 1``); None when empty.

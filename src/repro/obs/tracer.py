@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Span kinds, outermost to innermost.
 SPAN_KINDS = ("scenario", "phase", "exchange")
@@ -110,15 +110,24 @@ class Tracer:
     ``max_spans`` caps the total number of recorded spans; once reached,
     further spans are counted in :attr:`dropped` instead of stored (the
     open-span stack still balances, so the tree stays well formed).
+
+    ``before_write`` runs before every span open, close and event, so an
+    owner that buffers exchange leaves can add them (:meth:`leaf`) under
+    the span that was open when they happened, before the tree moves on.
     """
 
-    def __init__(self, max_spans: int = 100_000) -> None:
+    def __init__(
+        self,
+        max_spans: int = 100_000,
+        before_write: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.roots: List[Span] = []
         self.max_spans = max_spans
         self.dropped = 0
         self._stack: List[Span] = []
         self._count = 0
         self._now = lambda: 0.0
+        self._before_write = before_write or (lambda: None)
 
     def set_time_source(self, now) -> None:
         """Install the virtual-clock reader used to timestamp spans."""
@@ -128,6 +137,7 @@ class Tracer:
 
     def span(self, name: str, kind: str = "phase", **attrs: Any) -> _SpanContext:
         """Open a span as a child of the currently open span."""
+        self._before_write()
         if self._count >= self.max_spans:
             self.dropped += 1
             return _SpanContext(self, None)
@@ -139,12 +149,17 @@ class Tracer:
 
     def event(self, name: str, kind: str = "exchange", **attrs: Any) -> None:
         """Record a zero-duration leaf (e.g. one message exchange)."""
+        self._before_write()
+        self.leaf(name, self._now(), attrs, kind)
+
+    def leaf(
+        self, name: str, time: float, attrs: Dict[str, Any], kind: str = "exchange"
+    ) -> None:
+        """Add a zero-duration leaf at virtual *time* (no ``before_write``)."""
         if self._count >= self.max_spans:
             self.dropped += 1
             return
-        now = self._now()
-        span = Span(name=name, kind=kind, start=now, end=now, attrs=attrs)
-        self._attach(span)
+        self._attach(Span(name, kind, time, time, "ok", attrs))
         self._count += 1
 
     def _attach(self, span: Span) -> None:
@@ -154,6 +169,7 @@ class Tracer:
             self.roots.append(span)
 
     def _close(self, span: Span, ok: bool) -> None:
+        self._before_write()
         span.end = self._now()
         if not ok:
             span.outcome = "error"

@@ -4,7 +4,7 @@ shadows, relay, audit."""
 import pytest
 
 from repro.cloud.accounts import AccountStore
-from repro.cloud.audit import AuditLog
+from repro.cloud.audit import AuditEntry, AuditLog
 from repro.cloud.bindings import BindingStore
 from repro.cloud.registry import DeviceRegistry
 from repro.cloud.relay import QueuedCommand, Relay
@@ -215,8 +215,10 @@ class TestShadowStoreAndRelay:
 class TestAudit:
     def test_record_and_filter(self):
         audit = AuditLog()
-        audit.record(1.0, "app", "1.1.1.1", "Bind:(DevId,UserToken)", "ok")
-        audit.record(2.0, "attacker", "2.2.2.2", "Bind:(DevId,UserToken)", "already-bound")
+        audit.record(AuditEntry(1.0, "app", "1.1.1.1", "Bind:(DevId,UserToken)", "ok"))
+        audit.record(
+            AuditEntry(2.0, "attacker", "2.2.2.2", "Bind:(DevId,UserToken)", "already-bound")
+        )
         assert len(audit) == 2
         assert len(audit.rejected()) == 1
         assert audit.last_outcome("Bind") == "already-bound"

@@ -306,8 +306,7 @@ class TestDecisions:
     def test_decision_trace_is_volatile_evidence(self):
         harness = make_harness()
         token = login(harness)
-        # traces are rendered only when someone watches: a live sink
-        # (or a real observer) opts this world in
+        # the memoized trail rides on every live event, sink or not
         harness.cloud.forensics.add_sink(lambda event: None)
         harness.must(BindMessage(device_id="dev-1", user_token=token))
         (event,) = [e for e in harness.cloud.forensics.events()

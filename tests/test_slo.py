@@ -196,12 +196,16 @@ class TestCalmPathFreedom:
         def boom(*args, **kwargs):
             raise AssertionError("SLO hook fired on the calm path")
 
-        monkeypatch.setattr(Observer, "on_request", boom)
-        monkeypatch.setattr(Observer, "on_pdp_decide", boom)
+        monkeypatch.setattr(Observer, "on_record", boom)
         fleet = FleetDeployment(vendor("OZWI"), households=3, seed=3)
         fleet.setup_all()
         fleet.run(30.0)
         assert len(fleet.cloud.audit) > 0
+        # ... and reads no clock: no record carries a duration
+        assert all(
+            entry.handle_ns is None and entry.pdp_ns is None
+            for entry in fleet.cloud.audit.entries
+        )
 
 
 class TestSLOTracker:

@@ -3,10 +3,12 @@
 
 Reads the artifact ``benchmarks/bench_sim_kernel.py`` just wrote and
 compares the freshly measured ``after`` numbers against the pinned
-``thresholds`` section (baseline / ``regression_factor`` for throughput,
-baseline * factor for latency).  A >2x regression on the event loop,
-the packet path or the cloud handle percentiles — or a decision cache
-that stopped hitting — fails the build.
+``thresholds`` section: the current kernel's medians over repeated runs
+(``pinned``), divided (throughput) or multiplied (latency) by the
+``noise_factor`` measured from those runs' spread.  A regression past
+that band on the event loop, the packet path or the cloud handle
+percentiles (p99 is the median over the bench's fresh-fleet sweeps) —
+or a decision cache that stopped hitting — fails the build.
 
 Usage: python tools/check_kernel_bench.py [path/to/BENCH_kernel.json]
 """

@@ -1,25 +1,31 @@
 #!/usr/bin/env python3
-"""SLO-instrumentation overhead gate: the calm path must stay free.
+"""Observability overhead gate: the calm path stays free, the observed
+path stays cheap.
 
-The RED/SLO record points added to ``CloudService.handle_packet`` and
-``PolicyDecisionPoint.decide`` live strictly behind the precomputed
-``observer is not NULL_OBSERVER`` flag, so an uninstrumented run must
-pay nothing beyond one boolean test per packet.  This gate proves that
-three ways:
+The per-request record point — ``handle_packet``/``decide`` timing and
+the audit log's one ``Observer.on_record`` call — lives strictly behind
+the precomputed ``observer is not NULL_OBSERVER`` flag, so an
+uninstrumented run must pay nothing beyond one boolean test per packet;
+an observed run pays a queue append per request and aggregates at read
+time.  This gate checks four things:
 
 1. **Paired timing** — the same calm fleet workload run under
    ``NULL_OBSERVER`` with the stock entry point vs. with the guard
    bypassed entirely (``handle_packet`` patched straight to the
-   pre-instrumentation ``_handle_and_record``).  The overhead ratio
+   untimed ``_handle_and_record``).  The overhead ratio
    must stay under 2%, with an absolute per-request slack floor so
    scheduler noise on a ~20ms workload cannot fail the build on its
    own: a measured delta below 0.25us/request is noise, not cost.
-2. **Structural check** — ``Observer.on_request``/``on_pdp_decide``
-   are patched to raise, then an uninstrumented fleet runs end to end:
-   if any calm-path code reaches the new hooks, the run explodes.  An
-   instrumented control run (hooks restored) must then actually record
-   RED series, proving the instrument is live rather than dead.
-3. **Kernel-baseline sanity** — the pinned ``BENCH_kernel.json``
+2. **Observed-path budget** — the same calm fleet observed the way
+   campaign shards observe it (``Observability(trace_messages=True)``,
+   with the read-time fold inside the timed region) vs. under
+   ``NULL_OBSERVER``: best-of-8 interleaved wall ratio at most 1.35x.
+3. **Structural check** — ``Observer.on_record`` is patched to raise,
+   then an uninstrumented fleet runs end to end: if any calm-path code
+   reaches the record hook, the run explodes.  An instrumented control
+   run (hook restored) must then actually record RED series, proving
+   the instrument is live rather than dead.
+4. **Kernel-baseline sanity** — the pinned ``BENCH_kernel.json``
    thresholds must exist and its ``after`` latencies must still sit
    inside them, so this gate composes with (not replaces) the kernel
    regression gate.
@@ -53,59 +59,63 @@ TRIALS = 8
 MAX_OVERHEAD_RATIO = 0.02
 #: Absolute noise floor: deltas under this per request are not signal.
 NOISE_FLOOR_US_PER_REQUEST = 0.25
+#: Observed-path budget: observed wall / NULL_OBSERVER wall, best of N.
+MAX_OBSERVED_RATIO = 1.35
 
 KERNEL_BENCH = ROOT / "benchmarks/output/BENCH_kernel.json"
 
 
 def _one_run(observer=None):
-    """Build + run one calm fleet; returns (wall_seconds, requests)."""
+    """Build + run one calm fleet; returns (wall_seconds, requests, fleet).
+
+    An observer's read-time fold is part of the timed region.
+    """
     fleet = FleetDeployment(
         vendor(VENDOR), households=HOUSEHOLDS, seed=SEED, observer=observer
     )
     started = time.perf_counter()
     fleet.setup_all()
     fleet.run(SECONDS)
+    if observer is not None:
+        observer.fold()
     wall = time.perf_counter() - started
     return wall, len(fleet.cloud.audit), fleet
 
 
-def paired_overhead():
-    """Best-of-N interleaved A/B: stock guard vs. guard bypassed.
+def _best_of_interleaved(first, second):
+    """Warm both arms, then best-of-TRIALS with alternating A/B order.
 
-    Both arms get a warmup run, and the A/B order alternates between
-    trials so allocator/cache drift cannot systematically favour one
-    arm.  Best-of (min) is the standard noise-robust statistic for a
-    fixed deterministic workload.
+    Alternating the order between trials keeps allocator/cache drift
+    from systematically favouring one arm; best-of (min) is the standard
+    noise-robust statistic for a fixed deterministic workload.  Returns
+    ``(best_first, best_second, requests)``.
     """
+    samples = ([], [])
+    requests = 0
+    first()
+    second()
+    for trial in range(TRIALS):
+        order = (0, 1) if trial % 2 == 0 else (1, 0)
+        for arm in order:
+            wall, requests, _ = (first, second)[arm]()
+            samples[arm].append(wall)
+    return min(samples[0]), min(samples[1]), requests
+
+
+def paired_overhead():
+    """Best-of-N interleaved A/B: stock guard vs. guard bypassed."""
     original = CloudService.handle_packet
 
-    def stock_run():
-        return _one_run()
-
     def bypass_run():
-        # Bypass arm: dispatch straight to the pre-instrumentation
-        # handler, skipping even the `if self._observed` test.
+        # Bypass arm: dispatch straight to the untimed handler,
+        # skipping even the `if self._observed` test.
         CloudService.handle_packet = CloudService._handle_and_record
         try:
             return _one_run()
         finally:
             CloudService.handle_packet = original
 
-    stock, bypassed = [], []
-    requests = 0
-    stock_run()
-    bypass_run()
-    for trial in range(TRIALS):
-        arms = (
-            (stock_run, stock), (bypass_run, bypassed)
-        ) if trial % 2 == 0 else (
-            (bypass_run, bypassed), (stock_run, stock)
-        )
-        for run, samples in arms:
-            wall, requests, _ = run()
-            samples.append(wall)
-    best_stock = min(stock)
-    best_bypass = min(bypassed)
+    best_stock, best_bypass, requests = _best_of_interleaved(_one_run, bypass_run)
     ratio = (best_stock - best_bypass) / best_bypass if best_bypass else 0.0
     delta_us = (
         (best_stock - best_bypass) * 1e6 / requests if requests else 0.0
@@ -124,22 +134,41 @@ def paired_overhead():
     }
 
 
+def observed_overhead():
+    """Best-of-N interleaved A/B: observed (fold included) vs. NULL_OBSERVER."""
+    best_observed, best_null, requests = _best_of_interleaved(
+        lambda: _one_run(Observability(trace_messages=True)), _one_run
+    )
+    ratio = best_observed / best_null if best_null else 0.0
+    return {
+        "trials": TRIALS,
+        "requests_per_run": requests,
+        "observed_seconds": round(best_observed, 6),
+        "null_seconds": round(best_null, 6),
+        "observed_ratio": round(ratio, 4),
+        "observed_us_per_request": round(
+            (best_observed - best_null) * 1e6 / requests if requests else 0.0, 4
+        ),
+        "max_observed_ratio": MAX_OBSERVED_RATIO,
+        "ok": ratio <= MAX_OBSERVED_RATIO,
+    }
+
+
 def structural_check():
-    """The calm path must never reach the hooks; the hot path must."""
+    """The calm path must never reach the record hook; the hot path must."""
 
     def boom(*args, **kwargs):
         raise AssertionError(
-            "SLO hook fired on the NULL_OBSERVER calm path"
+            "record hook fired on the NULL_OBSERVER calm path"
         )
 
-    saved = (Observer.on_request, Observer.on_pdp_decide)
-    Observer.on_request = boom
-    Observer.on_pdp_decide = boom
+    saved = Observer.on_record
+    Observer.on_record = boom
     try:
         _one_run()  # any hook call raises -> the gate fails loudly
         never_fired = True
     finally:
-        Observer.on_request, Observer.on_pdp_decide = saved
+        Observer.on_record = saved
     obs = Observability(trace_messages=False)
     _one_run(observer=obs)
     endpoint = obs.red.total_requests()
@@ -191,6 +220,7 @@ def main(argv=None):
             "seed": SEED,
         },
         "paired": paired_overhead(),
+        "observed": observed_overhead(),
         "structural": structural_check(),
         "kernel_baseline": kernel_baseline_check(),
     }
@@ -203,10 +233,17 @@ def main(argv=None):
         f"gate <= {MAX_OVERHEAD_RATIO:.0%} or "
         f"<= {NOISE_FLOOR_US_PER_REQUEST}us/request)"
     )
+    observed = report["observed"]
+    print(
+        f"  {'ok  ' if observed['ok'] else 'FAIL'} observed path: "
+        f"{observed['observed_ratio']:.3f}x NULL_OBSERVER wall "
+        f"({observed['observed_us_per_request']:+.3f}us/request, fold "
+        f"included, best of {TRIALS}; gate <= {MAX_OBSERVED_RATIO}x)"
+    )
     structural = report["structural"]
     print(
         f"  {'ok  ' if structural['ok'] else 'FAIL'} structural: "
-        f"calm path never reached the hooks; observed run recorded "
+        f"calm path never reached the record hook; observed run recorded "
         f"{structural['observed_endpoint_requests']} endpoint + "
         f"{structural['observed_pdp_decisions']} pdp series entries"
     )
@@ -219,7 +256,7 @@ def main(argv=None):
                for k, row in kernel["latency"].items()
            ))
     )
-    failed = [k for k in ("paired", "structural", "kernel_baseline")
+    failed = [k for k in ("paired", "observed", "structural", "kernel_baseline")
               if not report[k]["ok"]]
     report["ok"] = not failed
     if args.out is not None:
@@ -232,7 +269,8 @@ def main(argv=None):
     if failed:
         print(f"\nFAIL: slo overhead gate: {', '.join(failed)}")
         return 1
-    print("\nslo overhead gate: calm path clean, instruments live")
+    print("\nslo overhead gate: calm path clean, observed path in budget, "
+          "instruments live")
     return 0
 
 
