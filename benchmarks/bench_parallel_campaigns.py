@@ -19,7 +19,9 @@ serially, then sharded across 1/2/4/8 workers, and emits
 * the persistent-pool benchmark: a deployed campaign repeated through
   one :class:`~repro.parallel.pool.WorkerPool`, cold first pass vs
   warm-started repeats, with the amortized speedup checked against the
-  critical-path projection on hosts with enough cores.
+  critical-path projection on hosts with enough cores, plus every
+  shard's world-preparation seconds and the collector runs and pause
+  it saw (``ShardResult.runtime["gc"]``).
 
 ``docs/performance.md`` explains how to read every number here.
 """
@@ -250,6 +252,23 @@ def test_pooled_warm_start_amortization(benchmark):
     assert pool_stats["cold_builds"] == POOLED_WORKERS
     assert pool_stats["warm_starts"] == POOLED_WORKERS * (POOLED_REPEATS - 1)
 
+    # Per-shard world preparation and the collector work each shard saw
+    # (``runtime["gc"]``): warm shards restore an image with the worker's
+    # collector paused, so their pause should read ~0.
+    shard_worlds = [
+        {
+            "pass": index,
+            "shard": result.shard_index,
+            "world_source": result.world_source,
+            "world_seconds": round(result.world_seconds, 4),
+            "wall_seconds": round(result.wall_seconds, 4),
+            "gc_collections": result.runtime["gc"]["collections"],
+            "gc_pause_seconds": round(result.runtime["gc"]["pause_seconds"], 4),
+        }
+        for index, campaign_result in enumerate(pooled_results)
+        for result in campaign_result.shard_results
+    ]
+    warm_worlds = [s for s in shard_worlds if s["world_source"] == "warm"]
     amortized_wall = statistics.mean(pooled_walls[1:])
     cpu_count = os.cpu_count() or 1
     projected_speedup = serial_wall / critical_path
@@ -272,6 +291,13 @@ def test_pooled_warm_start_amortization(benchmark):
             "projected_speedup": round(projected_speedup, 2),
             "measured_speedup": round(measured_speedup, 2),
             "pool": pool_stats,
+            "warm_world_seconds_median": round(
+                statistics.median(s["world_seconds"] for s in warm_worlds), 4
+            ),
+            "warm_gc_pause_seconds_total": round(
+                sum(s["gc_pause_seconds"] for s in warm_worlds), 4
+            ),
+            "shard_worlds": shard_worlds,
         },
     }
     if warning is not None:
@@ -286,7 +312,10 @@ def test_pooled_warm_start_amortization(benchmark):
         f"projected on {cpu_count} core(s)); "
         f"pool: {pool_stats['warm_starts']} warm / "
         f"{pool_stats['cold_builds']} cold, "
-        f"{pool_stats['respawns']} respawns"
+        f"{pool_stats['respawns']} respawns; warm restore "
+        f"{pooled_payload['pooled']['warm_world_seconds_median']:.3f}s/shard "
+        f"(median), warm gc pause "
+        f"{pooled_payload['pooled']['warm_gc_pause_seconds_total']:.3f}s total"
     )
     if warning is not None:
         text += "\n" + warning

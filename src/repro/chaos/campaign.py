@@ -88,7 +88,7 @@ class ChaosController:
         if backend is None:  # pragma: no cover - defensive
             return
         node_name, public_ip = cloud.node_name, cloud.public_ip
-        cloud.shutdown()
+        cloud.close()  # shut down for good: the successor replaces it
         recovery = recover_from_journal(
             fleet.env, fleet.network, fleet.design, backend,
             node_name=node_name, public_ip=public_ip,

@@ -207,7 +207,7 @@ class ResilientClient:
                     self.breaker.record_success(env.now)
                 raise
             except NetworkError as exc:
-                last_error = exc
+                last_error = exc.with_traceback(None)
                 if self.breaker is not None:
                     was_open = self.breaker.state == CircuitBreaker.OPEN
                     self.breaker.record_failure(env.now)
@@ -220,4 +220,10 @@ class ResilientClient:
         self.stats["giveups"] += 1
         observer.count("resilience.giveups", role=self.role)
         assert last_error is not None  # max_attempts >= 1 guarantees a cause
-        raise last_error
+        try:
+            raise last_error
+        finally:
+            # The raised traceback holds this frame; dropping the local
+            # keeps frame -> error -> traceback -> frame from forming a
+            # cycle only the cyclic collector could reclaim.
+            del last_error

@@ -110,6 +110,9 @@ def resolve_user(service: Any, user_token: Optional[str]) -> str:
 # Each takes (ctx, params) and returns None (pass) or the rejection the
 # enforcement point must raise (deny).  Implementations are pure reads
 # over the stores; the only side channels are ctx.out / ctx.obligations.
+# A caught rejection is returned without its traceback: those frames
+# hold the decision that holds the rejection, one reference cycle per
+# denied request for the cyclic collector to find.
 # ----------------------------------------------------------------------
 
 
@@ -129,7 +132,7 @@ def _rule_require_user(ctx, params):
     try:
         ctx.out["user"] = resolve_user(ctx.service, ctx.request.user_token)
     except AuthenticationFailed as exc:
-        return exc
+        return exc.with_traceback(None)
     return None
 
 
@@ -272,7 +275,7 @@ def _rule_authorize_revocation(ctx, params):
     try:
         user = resolve_user(ctx.service, message.user_token)
     except AuthenticationFailed as exc:
-        return exc
+        return exc.with_traceback(None)
     ctx.out["user"] = user
     if params["checks_bound_user"] and ctx.out["binding"].user_id != user:
         return AuthorizationFailed("not-bound-user", "requester is not the bound user")
@@ -328,7 +331,7 @@ def _rule_authenticate_device(ctx, params):
                 svc, ("dev", message.device_id, message.dev_token), compute
             )
     except AuthenticationFailed as exc:
-        return exc
+        return exc.with_traceback(None)
     return None
 
 
@@ -350,7 +353,7 @@ def _rule_require_bound_user(ctx, params):
     try:
         user = cached_decision(svc, ("owner", message.user_token, device_id), compute)
     except CACHEABLE_REJECTIONS as exc:
-        return exc
+        return exc.with_traceback(None)
     ctx.out["user"] = user
     # Same epoch => the binding row cannot have changed; re-fetch the
     # live object rather than caching a reference to it.
@@ -386,7 +389,7 @@ def _rule_require_device_access(ctx, params):
             svc, ("access", message.user_token, device_id), compute
         )
     except CACHEABLE_REJECTIONS as exc:
-        return exc
+        return exc.with_traceback(None)
     ctx.out["user"] = user
     ctx.out["binding"] = svc.bindings.get(device_id)
     ctx.out["is_owner"] = is_owner

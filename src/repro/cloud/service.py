@@ -209,6 +209,20 @@ class CloudService:
         if self.network.has_node(self.node_name):
             self.network.remove_node(self.node_name)
 
+    def close(self) -> None:
+        """Break this cloud's reference cycles once its world is finished.
+
+        :meth:`shutdown` takes it off the air; then the endpoint table,
+        the handlers' and the PDP's back-references and the forensic
+        sinks go, so refcounting alone frees the cloud.  A closed cloud
+        serves nothing; the stores stay readable.
+        """
+        self.shutdown()
+        self._endpoints.clear()
+        self._handlers.service = None
+        self.pdp.service = None
+        self.forensics.clear_sinks()
+
     @classmethod
     def restore(
         cls,

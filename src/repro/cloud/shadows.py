@@ -8,6 +8,7 @@ liveness sweep that moves shadows offline when heartbeats stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
@@ -15,6 +16,19 @@ from repro.core.errors import UnknownDevice
 from repro.core.shadow import DeviceShadow, TransitionRecord
 from repro.net.address import IpAddress
 from repro.obs.observer import Observer
+
+
+def _emit_transition(
+    observer: Observer, shadow: DeviceShadow, record: TransitionRecord
+) -> None:
+    """Forward one recorded transition to the observer."""
+    observer.on_shadow_transition(
+        shadow.device_id,
+        record.event.value,
+        record.before.value,
+        record.after.value,
+        record.time,
+    )
 
 
 @dataclass
@@ -47,26 +61,20 @@ class ShadowStore(RecordStoreBase):
     def __init__(self, observer: Optional[Observer] = None) -> None:
         self._shadows: Dict[str, DeviceShadow] = {}
         self._registrations: Dict[str, RegistrationMark] = {}
-        self._observer = observer
+        #: the per-shadow hook; it holds the observer, never this store,
+        #: so shadows and store form no reference cycle
+        self._on_transition = (
+            partial(_emit_transition, observer) if observer is not None else None
+        )
 
     def create(self, device_id: str) -> DeviceShadow:
         """Create the shadow for a newly manufactured device."""
         shadow = DeviceShadow(device_id)
-        if self._observer is not None:
-            shadow.on_transition = self._emit_transition
+        if self._on_transition is not None:
+            shadow.on_transition = self._on_transition
         self._shadows[device_id] = shadow
         self._note_mutation()
         return shadow
-
-    def _emit_transition(self, shadow: DeviceShadow, record: TransitionRecord) -> None:
-        """Forward one recorded transition to the observer."""
-        self._observer.on_shadow_transition(
-            shadow.device_id,
-            record.event.value,
-            record.before.value,
-            record.after.value,
-            record.time,
-        )
 
     def get(self, device_id: str) -> DeviceShadow:
         try:

@@ -514,6 +514,23 @@ class FleetDeployment:
             obs.restore_metrics(image.metrics)
         return fleet
 
+    def close(self) -> None:
+        """Break the world's reference cycles so refcounting frees it.
+
+        Call once the world's results are read (``run_shard`` closes
+        every world it builds after its :class:`ShardResult` exists).
+        The scheduler drops its pending callbacks, the network its node
+        handlers, the provisioning air its listeners and the cloud its
+        handler tables — every edge by which a device, app or cloud
+        points back at itself through the shared world.  Nothing the
+        world returned (reports, snapshots) points into it, so those
+        stay valid; the closed world runs no further events.
+        """
+        self.cloud.close()
+        self.network.close()
+        self.env.scheduler.close()
+        self.air.close()
+
     def bound_users(self) -> Dict[str, Optional[str]]:
         """device_id -> bound account, fleet-wide."""
         return {

@@ -158,6 +158,18 @@ class Network:
             self._lans[entry.lan_id].leave(node)
             entry.lan_id = None
 
+    def close(self) -> None:
+        """Drop every node handler, tap, proxy and fault filter.
+
+        Handlers are bound methods of the devices, apps and cloud, which
+        all hold this network: clearing the tables lets a finished world
+        free by refcount.  The LANs stay readable.
+        """
+        self._nodes.clear()
+        self._taps.clear()
+        self._proxies.clear()
+        self._fault_filters.clear()
+
     def set_handler(self, node: str, handler: Optional[Handler]) -> None:
         self._require(node).handler = handler
 

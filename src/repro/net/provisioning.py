@@ -55,5 +55,9 @@ class ProvisioningAir:
             listener(credentials)
         return len(listeners)
 
+    def close(self) -> None:
+        """Drop every listener (each holds the device that is listening)."""
+        self._listeners.clear()
+
     def listener_count(self, location: str) -> int:
         return len(self._listeners.get(location, []))

@@ -146,6 +146,10 @@ class ForensicTimeline(RecordStoreBase):
         if sink in self._sinks:
             self._sinks.remove(sink)
 
+    def clear_sinks(self) -> None:
+        """Unsubscribe every consumer (the cloud is closing)."""
+        self._sinks.clear()
+
     def record(
         self,
         time: float,

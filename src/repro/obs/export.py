@@ -63,6 +63,7 @@ def _cap_forest(
                 data.pop("children", None)
         return data
     forest = [emit(root) for root in roots]
+    del emit  # it refers to itself: a cycle only the collector would free
     return [root for root in forest if root is not None], exported[0], dropped[0]
 
 

@@ -21,7 +21,9 @@ the virtual-clock time source to the newest environment.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
+from functools import partial
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -44,6 +46,16 @@ def _retired_hook(self: Any, *args: Any, **kwargs: Any) -> None:
     """A per-request hook the cloud no longer calls (see ``on_record``)."""
 
 
+def _fold(ref: "weakref.ref[Observability]") -> None:
+    """The tracer's write hook: fold the observer *ref* names, if alive.
+
+    Weak, so the observer and its tracer form no reference cycle.
+    """
+    observer = ref()
+    if observer is not None:
+        observer.fold()
+
+
 class Observability(Observer):
     """Collects spans, metrics and profiles from an instrumented run.
 
@@ -53,7 +65,9 @@ class Observability(Observer):
     """
 
     def __init__(self, trace_messages: bool = True, max_spans: int = 100_000) -> None:
-        self._tracer = Tracer(max_spans=max_spans, before_write=self.fold)
+        self._tracer = Tracer(
+            max_spans=max_spans, before_write=partial(_fold, weakref.ref(self))
+        )
         self._metrics = MetricsRegistry()
         self._profiler = Profiler()
         #: RED series (rate, errors, duration sketch) per (design, action)
@@ -63,7 +77,9 @@ class Observability(Observer):
         #: the availability series behind SLO/burn-rate evaluation
         self._slo = SLOTracker()
         self.trace_messages = trace_messages
-        self._env: Optional[Any] = None
+        #: the attached world's clock (never the environment itself,
+        #: which holds this observer: the link must not form a cycle)
+        self._clock: Optional[Any] = None
         #: ``(scope, record)`` pairs awaiting :meth:`fold`, in arrival order
         self._pending: List[Tuple[str, Any]] = []
 
@@ -138,9 +154,13 @@ class Observability(Observer):
     # -- Observer protocol ---------------------------------------------------
 
     def attach(self, env: Any) -> None:
-        """Bind span timestamps to *env*'s virtual clock (latest wins)."""
-        self._env = env
-        self._tracer.set_time_source(lambda: env.clock.now)
+        """Bind span timestamps to *env*'s virtual clock (latest wins).
+
+        Only the clock is kept, so the observer never points back at the
+        environment that holds it and a finished world frees by refcount.
+        """
+        self._clock = env.clock
+        self._tracer.set_time_source(partial(getattr, env.clock, "now"))
 
     def span(self, name: str, kind: str = "phase", **attrs: Any) -> ContextManager[Any]:
         """Open a trace span (see :meth:`repro.obs.tracer.Tracer.span`)."""
@@ -158,10 +178,8 @@ class Observability(Observer):
         """Increment the counter *name* (SLO-bad counters also feed SLO)."""
         self._metrics.counter(name).inc(n, **labels)
         cause = _SLO_BAD_COUNTERS.get(name)
-        if cause is not None and self._env is not None:
-            self._slo.record_bad(
-                self._env.clock.now, labels.get("cause", cause), n
-            )
+        if cause is not None and self._clock is not None:
+            self._slo.record_bad(self._clock.now, labels.get("cause", cause), n)
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge *name*."""

@@ -30,6 +30,7 @@ deployed worlds from cached :class:`~repro.fleet.WorldImage`\\ s — see
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -128,6 +129,40 @@ class ShardResult:
     runtime: Dict[str, Any] = field(default_factory=dict)
 
 
+class GcWatch:
+    """Counts cyclic-collector runs and their pause time over a block.
+
+    A context manager over ``gc.callbacks``: every collection that
+    starts and stops inside the block, in any thread, is counted.
+    """
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.pause_seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections += 1
+            self.pause_seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcWatch":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        gc.callbacks.remove(self)
+
+    def stats(self) -> Dict[str, Any]:
+        """``{collections, pause_seconds}`` for :attr:`ShardResult.runtime`."""
+        return {
+            "collections": self.collections,
+            "pause_seconds": self.pause_seconds,
+        }
+
+
 def run_shard(
     spec: ShardSpec, image_cache: Optional[WorldImageCache] = None
 ) -> ShardResult:
@@ -135,7 +170,11 @@ def run_shard(
 
     Builds the shard's fleet from its derived seed, runs the campaign
     against it, and returns the report plus the shard's metric and
-    observability snapshots and its audit-consistency verdict.
+    observability snapshots and its audit-consistency verdict.  The
+    world is closed (:meth:`~repro.fleet.FleetDeployment.close`) once
+    the result is built, so it frees by refcount; the collector runs
+    it saw land in ``runtime["gc"]``.  Collector policy belongs to the
+    caller (the pool worker pauses it per task).
 
     With an *image_cache*, deployed-campaign shards warm-start: the
     first run of a world captures a :class:`~repro.fleet.WorldImage`
@@ -145,6 +184,16 @@ def run_shard(
     timelines and metrics).  Chaos shards and ``binding-dos`` always
     run cold (:func:`~repro.parallel.protocol.world_key` is ``None``).
     """
+    with GcWatch() as watch:
+        result = _run_shard(spec, image_cache)
+    result.runtime["gc"] = watch.stats()
+    return result
+
+
+def _run_shard(
+    spec: ShardSpec, image_cache: Optional[WorldImageCache]
+) -> ShardResult:
+    """:func:`run_shard` without the collector accounting."""
     started = time.perf_counter()
     obs = Observability(trace_messages=spec.trace_messages)
     key = world_key(spec) if image_cache is not None else None
@@ -218,7 +267,7 @@ def run_shard(
         detection_score = score_detection(
             fleet.cloud.forensics.events(), pipeline.alerts
         )
-    return ShardResult(
+    result = ShardResult(
         shard_index=spec.shard_index,
         seed=spec.seed,
         report=report,
@@ -234,6 +283,8 @@ def run_shard(
         world_seconds=world_seconds,
         runtime={"authz_cache": fleet.cloud.authz_cache.stats()},
     )
+    fleet.close()
+    return result
 
 
 @dataclass
@@ -313,7 +364,8 @@ class ShardedCampaignResult:
 
     @property
     def runtime_stats(self) -> Dict[str, Any]:
-        """Execution-side statistics: authz-cache hit rates (+ pool).
+        """Execution-side statistics: authz-cache hit rates, collector
+        runs and pause seconds (+ pool).
 
         Summed over shards from each :attr:`ShardResult.runtime` plus
         the coordinator's pool stats when a pool ran the shards.  Part
@@ -329,7 +381,12 @@ class ShardedCampaignResult:
         authz["hit_rate"] = (
             authz["hits"] / authz["lookups"] if authz["lookups"] else 0.0
         )
-        data: Dict[str, Any] = {"authz_cache": authz}
+        collector = {"collections": 0, "pause_seconds": 0.0}
+        for result in self.shard_results:
+            stats = result.runtime.get("gc", {})
+            for key in collector:
+                collector[key] += stats.get(key, 0)
+        data: Dict[str, Any] = {"authz_cache": authz, "gc": collector}
         if self.pool_stats is not None:
             stats = self.pool_stats
             data["pool"] = {
@@ -407,7 +464,8 @@ class ShardedCampaignResult:
         authz = runtime["authz_cache"]
         runtime_line = (
             f"runtime: authz-cache {authz['hits']}/{authz['lookups']} hits "
-            f"({authz['hit_rate']:.0%})"
+            f"({authz['hit_rate']:.0%}) · gc {runtime['gc']['collections']} "
+            f"collections {runtime['gc']['pause_seconds']:.3f}s pause"
         )
         pool_runtime = runtime.get("pool")
         if pool_runtime is not None:

@@ -36,6 +36,7 @@ point imports everything it needs, so all three behave identically.
 
 from __future__ import annotations
 
+import gc
 import os
 import queue as queue_module
 import signal
@@ -122,12 +123,11 @@ def _worker_main(
 ) -> None:
     """Worker process entry point: loop tasks until :class:`Shutdown`.
 
-    Imports the engine lazily so the module graph stays acyclic
-    (``engine`` imports this module for the pooled execution path) and
-    the entry point works under every start method.
+    Each task runs through :func:`run_task`, which imports the engine
+    lazily so the module graph stays acyclic (``engine`` imports this
+    module for the pooled execution path) and the entry point works
+    under every start method.
     """
-    from repro.parallel.engine import run_shard
-
     cache = WorldImageCache(max_entries=cache_entries) if warm_start else None
     out_queue.put(WorkerHello(worker=slot, pid=os.getpid()))
 
@@ -150,27 +150,55 @@ def _worker_main(
             message = task_queue.get()
             if isinstance(message, Shutdown):
                 return
-            try:
-                result = run_shard(message.spec, image_cache=cache)
-                out_queue.put(
-                    TaskResult(
-                        task_id=message.task_id,
-                        worker=slot,
-                        result=result,
-                        cache=cache.stats() if cache is not None else {},
-                    )
-                )
-            except BaseException:
-                out_queue.put(
-                    TaskResult(
-                        task_id=message.task_id,
-                        worker=slot,
-                        error=traceback.format_exc(),
-                        cache=cache.stats() if cache is not None else {},
-                    )
-                )
+            run_task(slot, message, cache, out_queue)
     finally:
         stop.set()
+
+
+def run_task(
+    slot: int,
+    message: TaskRequest,
+    cache: Optional[WorldImageCache],
+    out_queue: Any,
+) -> None:
+    """Run one task the way a worker does, owning the process's collector.
+
+    The shard runs with automatic collection paused (restored even when
+    it raises): its world is freed by refcount when it closes, so the
+    collector has nothing to find mid-task but would walk every cached
+    image to find it.  Once the reply is queued, one collection sweeps
+    whatever the task left, and if the task cached a new image the
+    surviving heap — images plus imports, no world is alive — is frozen
+    out of later collections.  Evicted images still free by refcount.
+    """
+    from repro.parallel.engine import run_shard
+
+    stored = cache.stored if cache is not None else 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            reply = TaskResult(
+                task_id=message.task_id,
+                worker=slot,
+                result=run_shard(message.spec, image_cache=cache),
+                cache=cache.stats() if cache is not None else {},
+            )
+        except BaseException:
+            reply = TaskResult(
+                task_id=message.task_id,
+                worker=slot,
+                error=traceback.format_exc(),
+                cache=cache.stats() if cache is not None else {},
+            )
+        out_queue.put(reply)
+    finally:
+        if enabled:
+            gc.enable()
+    del reply
+    gc.collect()
+    if cache is not None and cache.stored != stored:
+        gc.freeze()
 
 
 @dataclass

@@ -93,6 +93,8 @@ class WorldImageCache:
         self._images: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        #: images ever stored (a pool worker freezes its heap after each)
+        self.stored = 0
 
     def get(self, key: str) -> Optional[Any]:
         """The cached image under *key*, marking a hit or miss."""
@@ -108,6 +110,7 @@ class WorldImageCache:
         """Cache *image* under *key*, evicting the least recent overflow."""
         self._images[key] = image
         self._images.move_to_end(key)
+        self.stored += 1
         while len(self._images) > self.max_entries:
             self._images.popitem(last=False)
 

@@ -79,6 +79,7 @@ class EventHandle:
         if entry.cancelled:
             return
         entry.cancelled = True
+        entry.callback = None  # never runs; often owns this handle
         if self._scheduler is not None and entry.in_heap:
             self._scheduler._note_cancel()
 
@@ -89,6 +90,34 @@ class EventHandle:
     @property
     def cancelled(self) -> bool:
         return self._entry.cancelled
+
+
+class _Repeat:
+    """One periodic chain: the callable each of its firings schedules.
+
+    A slotted object rather than a closure, so the chain is picklable
+    and :meth:`Scheduler.close` can cut it: the pending entry holds this
+    object, and this object holds the pending entry's handle.
+    """
+
+    __slots__ = ("scheduler", "interval", "callback", "handle", "stopped")
+
+    def __init__(self, scheduler: "Scheduler", interval: float, callback: Callback) -> None:
+        self.scheduler = scheduler
+        self.interval = interval
+        self.callback: Optional[Callback] = callback
+        self.handle: Optional[EventHandle] = None
+        self.stopped = False
+
+    def __call__(self) -> None:
+        self.callback()
+        if not self.stopped:
+            self.handle = self.scheduler.after(self.interval, self)
+
+    def stop(self) -> None:
+        """Never re-arm; let go of the callback, which often owns the chain."""
+        self.stopped = True
+        self.callback = None
 
 
 class RepeatingHandle(EventHandle):
@@ -103,23 +132,23 @@ class RepeatingHandle(EventHandle):
     that entry and stops the chain from re-arming.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_chain",)
 
-    def __init__(self, state: dict) -> None:
-        self._state = state
+    def __init__(self, chain: _Repeat) -> None:
+        self._chain = chain
 
     def cancel(self) -> None:
         """Stop the chain: cancel the pending firing, never re-arm."""
-        self._state["stopped"] = True
-        self._state["handle"].cancel()
+        self._chain.stop()
+        self._chain.handle.cancel()
 
     @property
     def time(self) -> float:
-        return self._state["handle"].time
+        return self._chain.handle.time
 
     @property
     def cancelled(self) -> bool:
-        return self._state["stopped"]
+        return self._chain.stopped
 
 
 class Scheduler:
@@ -170,17 +199,28 @@ class Scheduler:
         """
         if interval <= 0:
             raise SimulationError("interval must be positive")
-        first_delay = interval if start_delay is None else start_delay
+        chain = _Repeat(self, interval, callback)
+        chain.handle = self.after(
+            interval if start_delay is None else start_delay, chain
+        )
+        return RepeatingHandle(chain)
 
-        state: dict = {"handle": None, "stopped": False}
+    def close(self) -> None:
+        """Drop every pending callback so a finished world frees by refcount.
 
-        def tick() -> None:
-            callback()
-            if not state["stopped"]:
-                state["handle"] = self.after(interval, tick)
-
-        state["handle"] = self.after(first_delay, tick)
-        return RepeatingHandle(state)
+        Pending entries hold bound methods of the world's devices and
+        cloud, and those objects hold handles back to the entries; a
+        closed scheduler keeps its clock but runs nothing.
+        """
+        for item in self._queue:
+            entry = item[2]
+            if type(entry.callback) is _Repeat:
+                entry.callback.stop()
+            entry.callback = None
+            entry.cancelled = True
+            entry.in_heap = False
+        self._queue.clear()
+        self._cancelled = 0
 
     # -- cancelled-entry bookkeeping ------------------------------------------
 
