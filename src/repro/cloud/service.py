@@ -28,7 +28,7 @@ from repro.cloud.sharing import ShareStore
 from repro.cloud.state.backends import StateBackend
 from repro.cloud.state.journal import meta_entry
 from repro.cloud.state.protocol import StateStore
-from repro.cloud.state.snapshot import build_snapshot, load_snapshot
+from repro.cloud.state.snapshot import SNAPSHOT_VERSION, load_snapshot
 from repro.core.errors import ConfigurationError, ProtocolError, RequestRejected
 from repro.core.messages import (
     BindingInfoRequest,
@@ -318,10 +318,25 @@ class CloudService:
         defence counters, the full audit log, the token RNG's stream
         position, per-store churn counters, and the liveness sweep's
         phase.  This captures the durable snapshot plus those overlays;
-        :meth:`restore_campaign_state` reinstalls both halves.
+        :meth:`restore_campaign_state` reinstalls both halves.  The
+        forensic timeline is the one durable store left out of the
+        snapshot: its history travels decoded
+        (:meth:`~repro.obs.detect.timeline.ForensicTimeline.history`),
+        so every restore from one capture shares one decode.
         """
+        snapshot = {
+            "version": SNAPSHOT_VERSION,
+            "design": self.design.name,
+            "time": self.now,
+            "stores": {
+                name: store.snapshot_state()
+                for name, store in self.state_stores().items()
+                if store.durable and store is not self.forensics
+            },
+        }
         return {
-            "snapshot": build_snapshot(self),
+            "snapshot": snapshot,
+            "forensics": self.forensics.history(),
             "shadows": self.shadows.snapshot_state(),
             "relay_volatile": self.relay.capture_volatile(),
             "bind_probe_failures": dict(self.bind_probe_failures),
@@ -338,19 +353,22 @@ class CloudService:
         }
 
     def restore_campaign_state(self, state: Dict[str, Any]) -> None:
-        """Resume a captured world image on this freshly built cloud.
+        """Load a captured world image into this empty cloud, once.
 
         The fast path behind warm-started campaign shards: unlike
         :func:`~repro.cloud.state.snapshot.load_snapshot` (a *restart*,
-        which demands a pristine cloud and sheds volatile state), this
-        overlays the image onto a structurally rebuilt world — the
-        rebuild's records (accounts registered at t=0, manufactured
-        devices) are an identical subset of the image's, so every
-        restore is an idempotent upsert.  After it returns, the next
-        request this cloud serves is bit-identical to what the captured
-        cloud would have produced: same store contents, same shadow
-        states, same audit history, same token stream position, same
-        churn counters, same sweep phase.
+        which sheds volatile state and rebuilds shadows offline), this
+        keeps everything.  The cloud must be freshly constructed with
+        nothing registered — :meth:`FleetDeployment.from_image
+        <repro.fleet.FleetDeployment.from_image>` skips the cloud-side
+        registration for exactly this — so each store loads its records
+        once: durable sections per record, shadows in bulk without
+        replaying transitions through the observer, the forensic history
+        as already-decoded events.  After it returns, the next request
+        this cloud serves is bit-identical to what the captured cloud
+        would have produced: same store contents, same shadow states,
+        same audit history, same token stream position, same churn
+        counters, same sweep phase.
         """
         snapshot = state["snapshot"]
         design = snapshot.get("design")
@@ -366,17 +384,14 @@ class CloudService:
             self._sweep_handle.cancel()
             self._sweep_handle = None
         self.env.clock.advance_to(state["time"])
-        # Durable stores: upsert overlay in store order (accounts and
-        # tokens before the stores whose checks consult them).
+        # Durable stores in store order (accounts and tokens before the
+        # stores whose checks consult them).
         sections = snapshot.get("stores", {})
         stores = self.state_stores()
         for name, store in stores.items():
-            if not store.durable:
-                continue
-            store.restore_state(sections.get(name, []))
-        # Live (not mass-offline) shadows: apply_record re-creates each
-        # shadow through create() — observer hook wired — and replays
-        # its captured facts.
+            if store.durable and name in sections:
+                store.restore_state(sections[name])
+        self.forensics.restore_history(state["forensics"])
         self.shadows.restore_state(state["shadows"])
         self.relay.restore_volatile(state["relay_volatile"])
         self.bind_probe_failures = dict(state["bind_probe_failures"])
@@ -386,8 +401,8 @@ class CloudService:
         # these records to the observer here would double-count.
         self.audit.entries = list(state["audit_entries"])
         self.tokens.restore_rng_state(state["token_rng"])
-        # Replaying records as upserts inflated every churn counter;
-        # rewind each to the captured value.
+        # Loading counted churn of its own; rewind each store's counter
+        # to the captured value.
         for name, mutations in state["mutations"].items():
             stores[name].set_mutation_count(mutations)
         sweep_next = state.get("sweep_next")

@@ -9,13 +9,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
 from repro.core.errors import UnknownDevice
-from repro.core.shadow import DeviceShadow, TransitionRecord
+from repro.core.shadow import DeviceShadow, TransitionRecord, next_state
+from repro.core.states import ShadowEvent, ShadowState
 from repro.net.address import IpAddress
 from repro.obs.observer import Observer
+
+#: One Figure 2 step: (event, before, after).
+_Step = Tuple[ShadowEvent, ShadowState, ShadowState]
+
+
+def _canonical_path(online: bool, bound: bool) -> Tuple[ShadowState, Tuple[_Step, ...]]:
+    """Replay a record's facts from INITIAL: status first, then binding.
+
+    Returns the state reached and the real transitions taken on the way.
+    """
+    state = ShadowState.INITIAL
+    steps: List[_Step] = []
+    for event, happens in (
+        (ShadowEvent.STATUS_RECEIVED, online),
+        (ShadowEvent.BIND_CREATED, bound),
+    ):
+        if happens:
+            after = next_state(state, event)
+            if after is not state:
+                steps.append((event, state, after))
+            state = after
+    return state, tuple(steps)
+
+
+#: (online, bound) -> the canonical replay of those facts.
+_PATHS = {
+    (online, bound): _canonical_path(online, bound)
+    for online in (False, True)
+    for bound in (False, True)
+}
 
 
 def _emit_transition(
@@ -69,10 +100,13 @@ class ShadowStore(RecordStoreBase):
 
     def create(self, device_id: str) -> DeviceShadow:
         """Create the shadow for a newly manufactured device."""
-        shadow = DeviceShadow(device_id)
+        return self._add(DeviceShadow(device_id))
+
+    def _add(self, shadow: DeviceShadow) -> DeviceShadow:
+        """Store *shadow*, wiring the observer hook for its next transitions."""
         if self._on_transition is not None:
             shadow.on_transition = self._on_transition
-        self._shadows[device_id] = shadow
+        self._shadows[shadow.device_id] = shadow
         self._note_mutation()
         return shadow
 
@@ -139,24 +173,30 @@ class ShadowStore(RecordStoreBase):
     def from_record(self, record: Record) -> DeviceShadow:
         """Decode one shadow by replaying its canonical events.
 
-        The record names the *facts* (online, bound user, marks), and the
-        decode replays them through the Figure 2 machine — so a cloned
-        shadow has real history and fires the same observer transitions a
-        live binding flow would.
+        The record names the *facts* (online, bound user, marks); the
+        decode takes the Figure 2 transitions that replaying them from
+        ``initial`` takes (:data:`_PATHS`), so the shadow carries real
+        history.  It is the one decode both load paths use
+        (:meth:`apply_record` and :meth:`restore_state`); it fires no
+        hook.
         """
-        shadow = DeviceShadow(record["device_id"])
-        self._replay(shadow, record)
-        return shadow
-
-    def _replay(self, shadow: DeviceShadow, record: Record) -> None:
-        """Apply a record's facts to *shadow* in canonical event order."""
         time = record.get("time", 0.0)
-        if record.get("online"):
-            shadow.mark_status(time, connection_id=record.get("connection_id"))
-        shadow.reported_model = record.get("reported_model", "")
-        shadow.reported_firmware = record.get("reported_firmware", "")
-        if record.get("bound_user") is not None:
-            shadow.mark_bound(record["bound_user"], time)
+        online = bool(record.get("online"))
+        bound_user = record.get("bound_user")
+        state, steps = _PATHS[online, bound_user is not None]
+        return DeviceShadow(
+            record["device_id"],
+            state,
+            bound_user,
+            last_seen=time if online else None,
+            connection_id=record.get("connection_id") if online else None,
+            reported_model=record.get("reported_model", ""),
+            reported_firmware=record.get("reported_firmware", ""),
+            history=[
+                TransitionRecord(time, event, before, after)
+                for event, before, after in steps
+            ],
+        )
 
     def record_key(self, record: Record) -> str:
         """Shadows are keyed by device id."""
@@ -176,12 +216,29 @@ class ShadowStore(RecordStoreBase):
     def apply_record(self, record: Record) -> DeviceShadow:
         """Rebuild one shadow from a record, replaying its events.
 
-        The shadow is recreated through :meth:`create` so the observer
-        hook is wired before any transition fires — a clone emits the
-        same ``on_shadow_transition`` sequence a live flow would.
+        The decoded history is then fed to the observer hook, so a clone
+        emits the same ``on_shadow_transition`` sequence a live flow
+        would.
         """
-        shadow = self.create(record["device_id"])
-        self._replay(shadow, record)
+        shadow = self._install(record)
+        if self._on_transition is not None:
+            for transition in shadow.history:
+                self._on_transition(shadow, transition)
+        return shadow
+
+    def restore_state(self, records: List[Record]) -> None:
+        """Bulk-load shadows: each is decoded and installed, nothing emitted.
+
+        The warm-start path.  The restored observer's metrics come from
+        the world image and already count these transitions, so unlike
+        :meth:`apply_record` no history reaches the hook.
+        """
+        for record in records:
+            self._install(record)
+
+    def _install(self, record: Record) -> DeviceShadow:
+        """Decode *record*; store the shadow and its registration mark."""
+        shadow = self._add(self.from_record(record))
         registration = record.get("registration")
         if registration is not None:
             self.mark_registration(

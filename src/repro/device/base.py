@@ -43,6 +43,7 @@ from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.provisioning import ProvisioningAir, WifiCredentials
 from repro.sim.environment import Environment
+from repro.sim.rand import DeterministicRandom
 
 
 SECONDS_PER_DAY = 86400.0
@@ -91,6 +92,8 @@ class DeviceFirmware:
     #: override in subclasses
     model: str = "generic-device"
     firmware_version: str = "1.0.0"
+    #: the attribute holding this type's seeded sensor, if it has one
+    sensor_attribute: Optional[str] = None
 
     def __init__(
         self,
@@ -146,6 +149,16 @@ class DeviceFirmware:
     def read_telemetry(self) -> Dict[str, Any]:
         """Current sensor readings sent with heartbeats; override."""
         return {}
+
+    def sensor_stream(self) -> Optional[DeterministicRandom]:
+        """The seeded stream behind this device's telemetry, if any.
+
+        World images record its position, so a restored device reads on
+        from where the captured one stopped.
+        """
+        if self.sensor_attribute is None:
+            return None
+        return getattr(self, self.sensor_attribute).rng
 
     def apply_command(self, command: str, arguments: Mapping[str, Any]) -> None:
         """Execute one relayed command; override for richer types."""

@@ -14,6 +14,7 @@ class IpCamera(DeviceFirmware):
 
     model = "ip-camera"
     firmware_version = "4.0.2"
+    sensor_attribute = "_motion"
 
     def initial_state(self) -> Dict[str, Any]:
         self._motion = MotionSensor(self.env.rng.fork(f"motion-{self.device_id}"))

@@ -17,38 +17,38 @@ class PowerMeter:
     """Instantaneous power draw of a plug/socket load (watts)."""
 
     def __init__(self, rng: DeterministicRandom, base_watts: float = 40.0) -> None:
-        self._rng = rng
+        self.rng = rng
         self.base_watts = base_watts
 
     def read(self, on: bool, now: float) -> float:
         """Current reading."""
         if not on:
-            return round(abs(self._rng.gauss(0.3, 0.1)), 2)  # vampire draw
+            return round(abs(self.rng.gauss(0.3, 0.1)), 2)  # vampire draw
         daily = 1.0 + 0.2 * math.sin(2 * math.pi * (now % 86400) / 86400)
-        return round(self.base_watts * daily + self._rng.gauss(0, 1.5), 2)
+        return round(self.base_watts * daily + self.rng.gauss(0, 1.5), 2)
 
 
 class Thermometer:
     """Ambient temperature (Celsius) with slow drift."""
 
     def __init__(self, rng: DeterministicRandom, base_c: float = 22.0) -> None:
-        self._rng = rng
+        self.rng = rng
         self.base_c = base_c
 
     def read(self, now: float) -> float:
         drift = 2.0 * math.sin(2 * math.pi * (now % 86400) / 86400)
-        return round(self.base_c + drift + self._rng.gauss(0, 0.2), 2)
+        return round(self.base_c + drift + self.rng.gauss(0, 0.2), 2)
 
 
 class SmokeDetector:
     """Smoke concentration; normally near zero."""
 
     def __init__(self, rng: DeterministicRandom) -> None:
-        self._rng = rng
+        self.rng = rng
         self.alarm_threshold = 50.0
 
     def read(self) -> float:
-        return round(abs(self._rng.gauss(1.0, 0.5)), 2)
+        return round(abs(self.rng.gauss(1.0, 0.5)), 2)
 
     def is_alarm(self, reading: float) -> bool:
         return reading >= self.alarm_threshold
@@ -58,8 +58,8 @@ class MotionSensor:
     """Binary motion events with a configurable activity rate."""
 
     def __init__(self, rng: DeterministicRandom, activity: float = 0.1) -> None:
-        self._rng = rng
+        self.rng = rng
         self.activity = activity
 
     def read(self) -> bool:
-        return self._rng.uniform(0.0, 1.0) < self.activity
+        return self.rng.uniform(0.0, 1.0) < self.activity

@@ -17,6 +17,7 @@ class SmartPlug(DeviceFirmware):
 
     model = "smart-plug"
     firmware_version = "2.3.1"
+    sensor_attribute = "_meter"
 
     def initial_state(self) -> Dict[str, Any]:
         """Per-outlet relay states plus the master flag."""

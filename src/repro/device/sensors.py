@@ -18,6 +18,7 @@ class FireAlarm(DeviceFirmware):
 
     model = "fire-alarm"
     firmware_version = "1.2.2"
+    sensor_attribute = "_detector"
 
     def initial_state(self) -> Dict[str, Any]:
         self._detector = SmokeDetector(self.env.rng.fork(f"smoke-{self.device_id}"))
@@ -41,6 +42,7 @@ class TemperatureSensor(DeviceFirmware):
 
     model = "temp-sensor"
     firmware_version = "1.0.9"
+    sensor_attribute = "_thermo"
 
     def initial_state(self) -> Dict[str, Any]:
         self._thermo = Thermometer(self.env.rng.fork(f"thermo-{self.device_id}"))

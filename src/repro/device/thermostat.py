@@ -19,6 +19,7 @@ class Thermostat(DeviceFirmware):
 
     model = "thermostat"
     firmware_version = "3.3.0"
+    sensor_attribute = "_thermo"
 
     def initial_state(self) -> Dict[str, Any]:
         self._thermo = Thermometer(self.env.rng.fork(f"thermo-{self.device_id}"))

@@ -48,6 +48,26 @@ RESERVED_FLEET_IPS = ("198.51.100.99", "52.0.0.1")  # attacker host, cloud
 #: Valid values for :class:`FleetDeployment`'s *build* parameter.
 BUILD_MODES = ("replay", "clone")
 
+#: Value types a device state shares rather than copies.
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_state(value: Any) -> Any:
+    """Copy a device state tree: dicts and lists rebuilt, scalars shared.
+
+    Device states are small JSON-like trees, so this does what
+    ``copy.deepcopy`` does at a fraction of its cost; any other value
+    type falls back to ``copy.deepcopy``.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        return {key: _copy_state(item) for key, item in value.items()}
+    if kind is list:
+        return [_copy_state(item) for item in value]
+    return copy.deepcopy(value)
+
 
 @dataclass
 class Household:
@@ -75,15 +95,17 @@ class WorldImage:
     into a live world whose every subsequent output is bit-identical to
     the captured one's.
 
-    The image is *not* a pickled object graph: it carries the cloud's
+    The image is *not* a pickled object graph.  It carries the cloud's
     genuine snapshot-v2 state plus the volatile overlays a snapshot
     deliberately sheds (see
-    :meth:`~repro.cloud.service.CloudService.capture_campaign_state`),
-    per-household device/app field sets, and the RNG / trace-counter
-    stream positions.  Restoring structurally rebuilds the fleet — all
-    identities and keys derive from the seed, so the rebuild reproduces
-    the build exactly — and overlays the captured dynamics on top.
-    Worker processes cache these per world key and replay them instead
+    :meth:`~repro.cloud.service.CloudService.capture_campaign_state`;
+    the forensic history rides there already decoded), per-household
+    device/app field sets with each sensor's stream position, and the
+    RNG / trace-counter stream positions.  Structure comes from the
+    seed (identities, keys and addresses all derive from it), state
+    from the image: a restore rebuilds the client side, loads the cloud
+    stores from the image once, and overlays the device and app fields.
+    Worker processes cache these per world key and restore them instead
     of re-running setup for every shard (``docs/performance.md``).
     """
 
@@ -112,6 +134,25 @@ class FleetDeployment:
         observer: Optional[Observer] = None,
         build: str = "replay",
     ) -> None:
+        self._assemble(design, households, seed, observer, build, register=True)
+
+    def _assemble(
+        self,
+        design: VendorDesign,
+        households: int,
+        seed: int,
+        observer: Optional[Observer],
+        build: str,
+        register: bool,
+    ) -> None:
+        """Build the world; *register* False leaves the cloud empty.
+
+        The constructor registers every account and device with the
+        cloud (and runs a clone build's template flow).
+        :meth:`from_image` passes ``register=False``: it builds only the
+        client side — LANs, nodes, devices, apps and the seed's ID
+        draws — and then loads the cloud from the image.
+        """
         if households < 1:
             raise ConfigurationError("a fleet needs at least one household")
         if build not in BUILD_MODES:
@@ -129,27 +170,46 @@ class FleetDeployment:
             design.id_scheme, oui=design.id_oui, digits=design.id_serial_digits
         )
         self._ips = FleetIpAllocator(reserved=RESERVED_FLEET_IPS)
+        self.households: List[Household]
         with self.env.observer.span(
             "fleet:build", kind="phase", vendor=design.name,
             households=households, build=build,
         ):
-            if build == "clone":
+            if not register:
+                self.households = [
+                    self._build_client(index) for index in range(households)
+                ]
+            elif build == "clone":
                 self.households = self._build_cloned(households)
             else:
-                self.households: List[Household] = [
+                self.households = [
                     self._build_household(index) for index in range(households)
                 ]
         # The attacker: an account and an internet-facing host, no LAN
         # access to anyone.
         self.attacker_user = "mallory@example.com"
         self.attacker_password = "mallory-pw"
-        self.cloud.accounts.register(self.attacker_user, self.attacker_password)
+        if register:
+            self.cloud.accounts.register(self.attacker_user, self.attacker_password)
         self.network.add_internet_node("attacker:host", None, "198.51.100.99")
         self._attacker_token: Optional[str] = None
 
     # ------------------------------------------------------------------
 
     def _build_household(self, index: int) -> Household:
+        """One factory-fresh household, registered with the cloud."""
+        household = self._build_client(index)
+        device = household.device
+        self.cloud.accounts.register(household.user_id, household.password)
+        self.cloud.manufacture_device(
+            device.device_id,
+            self.design.device_type,
+            device.keypair.public if device.keypair is not None else None,
+        )
+        return household
+
+    def _build_client(self, index: int) -> Household:
+        """One household's client side: LAN, device, phone; no cloud records."""
         design = self.design
         user_id = f"user{index}@example.com"
         password = f"pw-{index}"
@@ -162,14 +222,10 @@ class FleetDeployment:
             public_ip=self._ips.allocate(),
             subnet_prefix="192.168.1",
         )
-        self.cloud.accounts.register(user_id, password)
         device_id = self.id_scheme.issue(self.env.rng)
         keypair = None
         if design.device_auth is DeviceAuthMode.PUBKEY:
             keypair = cached_keypair(self.env.rng.fork(f"keys-{device_id}"), device_id)
-            self.cloud.manufacture_device(device_id, design.device_type, keypair.public)
-        else:
-            self.cloud.manufacture_device(device_id, design.device_type)
         device = DEVICE_CLASSES[design.device_type](
             env=self.env, network=self.network, air=self.air, design=design,
             device_id=device_id, location=location, keypair=keypair,
@@ -241,7 +297,7 @@ class FleetDeployment:
         )
         device._lan_id = household.lan_id
         device.connected = t_device.connected
-        device.state = copy.deepcopy(t_device.state)
+        device.state = _copy_state(t_device.state)
         device.schedule = dict(t_device.schedule)
         if design.device_auth is DeviceAuthMode.DEV_TOKEN:
             device.dev_token = cloud.registry.issue_dev_token(
@@ -395,7 +451,12 @@ class FleetDeployment:
                     "executed_commands": list(device.executed_commands),
                     "schedule": dict(device.schedule),
                     "last_schedule_check": device._last_schedule_check,
-                    "state": copy.deepcopy(device.state),
+                    "state": _copy_state(device.state),
+                    "sensor": (
+                        sensor.position()
+                        if (sensor := device.sensor_stream()) is not None
+                        else None
+                    ),
                     "heartbeat_next": (
                         device._heartbeat_handle.time
                         if device._heartbeat_handle is not None
@@ -438,36 +499,38 @@ class FleetDeployment:
     def from_image(
         cls, image: WorldImage, observer: Optional[Observer] = None
     ) -> "FleetDeployment":
-        """Resume a captured world: structural rebuild + overlays.
+        """Resume a captured world: structure from the seed, state from the image.
 
-        The constructor rebuild reproduces the original build exactly
-        (identities, keys and addresses all derive from the seed); the
-        overlays then install everything setup and run changed — cloud
-        state through the campaign fast path, device/app fields,
-        scheduler phases, RNG and trace-counter positions — and finally
-        replace the observer's metrics registry with the captured
-        snapshot, discarding whatever the restore itself emitted.  A
-        campaign run on the result is bit-identical to one run on the
-        captured world.
+        Builds the client side exactly as the original build did (LANs,
+        nodes, devices, apps; identities, keys and addresses all derive
+        from the seed) but registers nothing with the cloud and runs no
+        Figure 1 flow.  The image's cloud state then loads once into the
+        empty stores, and the overlays install what setup and run
+        changed: device/app fields, sensor streams, scheduler phases,
+        RNG and trace-counter positions.  Finally the observer's metrics
+        registry becomes the captured snapshot (the restore emits no
+        transitions of its own).  A campaign run on the result is
+        bit-identical to one run on the captured world.
         """
-        fleet = cls(
-            image.design,
-            image.households,
-            seed=image.seed,
-            observer=observer,
-            build=image.build,
+        fleet = cls.__new__(cls)
+        fleet._assemble(
+            image.design, image.households, image.seed, observer, image.build,
+            register=False,
         )
         fleet.cloud.restore_campaign_state(image.cloud_state)
+        registry = fleet.cloud.registry
+        if not all(
+            registry.is_registered(household.device.device_id)
+            for household in fleet.households
+        ):
+            raise ConfigurationError(
+                "world image does not match the rebuild of its seed"
+            )
         now = fleet.env.now
         for household, device_state, app_state in zip(
             fleet.households, image.device_states, image.app_states
         ):
             device = household.device
-            if device._heartbeat_handle is not None:
-                # clone builds arm heartbeats at t=0; re-arm below with
-                # the captured phase instead
-                device._heartbeat_handle.cancel()
-                device._heartbeat_handle = None
             device.powered = device_state["powered"]
             device.wifi = device_state["wifi"]
             device.dev_token = device_state["dev_token"]
@@ -478,15 +541,14 @@ class FleetDeployment:
             device.executed_commands = list(device_state["executed_commands"])
             device.schedule = dict(device_state["schedule"])
             device._last_schedule_check = device_state["last_schedule_check"]
-            device.state = copy.deepcopy(device_state["state"])
+            device.state = _copy_state(device_state["state"])
+            if device_state["sensor"] is not None:
+                device.sensor_stream().resume(device_state["sensor"])
             lan_id = device_state["lan_id"]
-            if device._lan_id != lan_id:
-                if device._lan_id is not None:
-                    fleet.network.leave_lan(device.node_name)
-                if lan_id is not None:
-                    fleet.network.join_lan(
-                        device.node_name, lan_id, household.wifi_passphrase
-                    )
+            if lan_id is not None:
+                fleet.network.join_lan(
+                    device.node_name, lan_id, household.wifi_passphrase
+                )
                 device._lan_id = lan_id
             heartbeat_next = device_state["heartbeat_next"]
             if heartbeat_next is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from repro.core.errors import ProtocolError
@@ -22,6 +23,19 @@ _IP_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 MAC_SUFFIX_SPACE = 256 ** 3
 
 
+@lru_cache(maxsize=None)
+def _check_ip(value: str) -> None:
+    """Validate one dotted quad; each valid string is checked once per process.
+
+    Unbounded on purpose: a process only ever sees the addresses of the
+    worlds it builds, and fleet allocation is deterministic, so every
+    world of a given size reuses the same strings.
+    """
+    match = _IP_RE.match(value)
+    if not match or any(int(octet) > 255 for octet in match.groups()):
+        raise ProtocolError(f"invalid IPv4 address: {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class IpAddress:
     """A dotted-quad IPv4 address."""
@@ -29,9 +43,7 @@ class IpAddress:
     value: str
 
     def __post_init__(self) -> None:
-        match = _IP_RE.match(self.value)
-        if not match or any(int(octet) > 255 for octet in match.groups()):
-            raise ProtocolError(f"invalid IPv4 address: {self.value!r}")
+        _check_ip(self.value)
 
     def __str__(self) -> str:
         return self.value

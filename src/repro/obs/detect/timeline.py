@@ -19,9 +19,11 @@ snapshot restore, so a recovered cloud does not re-alert on history.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
+from repro.core.errors import ConfigurationError
 
 #: A streaming consumer of live forensic events.
 ForensicSink = Callable[["ForensicEvent"], None]
@@ -45,6 +47,9 @@ _EVENT_FIELDS = (
     "bound_before",
     "replaced",
 )
+
+#: event -> its ``_EVENT_FIELDS`` values, as a tuple
+_event_fields = attrgetter(*_EVENT_FIELDS)
 
 
 class ForensicEvent:
@@ -197,6 +202,40 @@ class ForensicTimeline(RecordStoreBase):
 
     def __len__(self) -> int:
         return len(self._events)
+
+    # -- warm start ----------------------------------------------------------
+
+    def history(self) -> Tuple[ForensicEvent, ...]:
+        """Every event as restored history would hold it, decoded once.
+
+        Each event is rebuilt from its recorded fields, so its trail is
+        empty exactly as after :meth:`from_record`.  A world image keeps
+        this tuple and every world restored from it installs the same
+        events (:meth:`restore_history`); events are never mutated, so
+        sharing them is safe.
+        """
+        return tuple(ForensicEvent(*_event_fields(event)) for event in self._events)
+
+    def restore_history(self, events: Sequence[ForensicEvent]) -> None:
+        """Install decoded *events* into this empty timeline in one pass.
+
+        Indexes, next sequence number and churn end up as per-event
+        :meth:`apply_record` would leave them.  Sinks never fire and
+        nothing is journaled: the history was recorded (and journaled,
+        if at all) by the world it came from.
+        """
+        if self._events:
+            raise ConfigurationError("forensic history restores into an empty timeline")
+        self._events = list(events)
+        by_seq, by_device = self._by_seq, self._by_device
+        next_seq = self._next_seq
+        for index, event in enumerate(self._events):
+            by_seq[event.seq] = index
+            by_device.setdefault(event.device_id, []).append(index)
+            if event.seq >= next_seq:
+                next_seq = event.seq + 1
+        self._next_seq = next_seq
+        self._mutations += len(self._events)
 
     # -- internals -----------------------------------------------------------
 

@@ -19,6 +19,8 @@ alive instead:
 * workers warm-start deployed-campaign shards from cached
   :class:`~repro.fleet.WorldImage` captures instead of rebuilding the
   fleet (bit-identical results; see ``docs/performance.md``);
+* the coordinator sleeps in ``multiprocessing.connection.wait`` on the
+  out-queues and process sentinels, so it wakes as a result lands;
 * a daemon thread in every worker emits
   :class:`~repro.parallel.protocol.Heartbeat` beacons; the coordinator
   detects a dead or wedged worker (process exit, stale heartbeat, or a
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 import multiprocessing
+from multiprocessing.connection import wait
 
 from repro.parallel.protocol import (
     Heartbeat,
@@ -360,7 +363,7 @@ class WorkerPool:
                 progressed = self._drain(results)
                 if not progressed:
                     self._check_workers(attempts, results)
-                    time.sleep(0.01)
+                    self._wait_for_message()
         finally:
             self._on_dispatch = None
             self.run_wall_seconds += time.monotonic() - started
@@ -406,6 +409,19 @@ class WorkerPool:
                     slot.last_heartbeat = now
                     self._absorb(slot, message, results, now)
         return progressed
+
+    def _wait_for_message(self) -> None:
+        """Block until a slot has something to read or a worker exits.
+
+        Wakes on the out-queue readers and the process sentinels, so a
+        result is picked up as soon as it lands; the heartbeat interval
+        bounds the wait, so the staleness and deadline checks still run.
+        """
+        waitables = []
+        for slot in self._slots:
+            waitables.append(slot.out_queue._reader)
+            waitables.append(slot.process.sentinel)
+        wait(waitables, timeout=self.heartbeat_interval)
 
     def _absorb(
         self, slot: _Slot, message: TaskResult, results: Dict[int, Any], now: float

@@ -12,9 +12,14 @@ from __future__ import annotations
 import random
 import string
 import zlib
-from typing import Sequence, TypeVar
+from array import array
+from typing import Optional, Sequence, Tuple, TypeVar, Union
 
 T = TypeVar("T")
+
+#: A stream position as :meth:`DeterministicRandom.position` marks it:
+#: (words drawn since the seed, or the full state), pending Gaussian.
+StreamPosition = Tuple[Union[int, array], Optional[float]]
 
 _HEX = "0123456789abcdef"
 _ALNUM = string.ascii_lowercase + string.digits
@@ -82,6 +87,41 @@ class DeterministicRandom:
         seed, rng_state = state
         self.seed = seed
         self._rng.setstate(rng_state)
+
+    def position(self) -> StreamPosition:
+        """A compact mark of how far this stream has advanced since its seed.
+
+        A stream still inside its first Mersenne Twister block is marked
+        by the number of 32-bit words drawn, which :meth:`resume` replays
+        (far cheaper than installing a 625-word state).  Any other stream
+        carries its full state as an ``array('I')``: 2.5 kB, where the
+        tuple :meth:`getstate` returns takes about 25 kB.  Both forms keep
+        the pending second Gaussian.
+        """
+        version, internal, gauss_next = self._rng.getstate()
+        words = internal[-1] % (len(internal) - 1)
+        replay = random.Random(self.seed)
+        for _ in range(words):
+            replay.getrandbits(32)
+        if replay.getstate()[1] == internal:
+            return words, gauss_next
+        return array("I", internal), gauss_next
+
+    def resume(self, position: StreamPosition) -> None:
+        """Move to a :meth:`position` taken on a stream of the same seed.
+
+        Call it on a stream nothing has drawn from since it was seeded
+        (a world rebuild forks exactly those): a word-count mark is
+        replayed from the current position.
+        """
+        mark, gauss_next = position
+        if isinstance(mark, int):
+            draw = self._rng.getrandbits
+            for _ in range(mark):
+                draw(32)
+        else:
+            self._rng.setstate((random.Random.VERSION, tuple(mark), None))
+        self._rng.gauss_next = gauss_next
 
     def fork(self, label: str) -> "DeterministicRandom":
         """A derived, independent stream (stable for a given seed+label).
