@@ -260,7 +260,7 @@ def test_campaign_walls_and_artifact(benchmark):
     Runs last in this module: folds in config, the pinned baseline, the
     per-metric speedups and the CI regression thresholds, and emits the
     summary artifact."""
-    from repro.parallel import run_campaign
+    from repro.parallel import WorkerPool, run_campaign
     from repro.vendors import vendor
 
     households = 16 if QUICK else 100
@@ -277,8 +277,12 @@ def test_campaign_walls_and_artifact(benchmark):
         t0 = time.perf_counter()
         serial = run_campaign(vendor("OZWI"), workers=1, **kwargs)
         serial_wall = time.perf_counter() - t0
+        # pool start + one campaign + shutdown, as one pooled run costs
         t0 = time.perf_counter()
-        pooled = run_campaign(vendor("OZWI"), workers=2, pool=True, **kwargs)
+        with WorkerPool(workers=2) as pool:
+            pooled = run_campaign(
+                vendor("OZWI"), workers=2, worker_pool=pool, **kwargs
+            )
         pooled_wall = time.perf_counter() - t0
         assert serial.report.ids_probed == pooled.report.ids_probed
         return round(serial_wall, 4), round(pooled_wall, 4)

@@ -15,7 +15,7 @@ Usage (after ``pip install -e .``)::
     python -m repro slo                 # SLO report: burn rates, latency
     python -m repro slo --chaos cloud-brownout   # score an outage window
     python -m repro campaign --workers 4 --households 400
-    python -m repro campaign --workers 4 --pool --repeat 3   # warm-started
+    python -m repro campaign --workers 4 --repeat 3   # one warm pool
     python -m repro campaign --households 8 --chaos lossy-lan
     python -m repro chaos list                 # fault-plan catalog
     python -m repro chaos run cloud-restart --seconds 120
@@ -270,7 +270,7 @@ def _cmd_slo(args: argparse.Namespace) -> str:
 def _cmd_campaign(args: argparse.Namespace) -> str:
     import json
 
-    from repro.parallel import run_campaign
+    from repro.parallel import run_campaigns
     from repro.vendors import vendor
 
     chaos = None
@@ -282,37 +282,24 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
             intensity=args.intensity,
             resilience=not args.no_resilience,
         )
-    campaign_kwargs = dict(
-        campaign=args.mode,
+    repeats = max(1, args.repeat)
+    results = run_campaigns(
+        vendor(args.vendor),
+        [args.mode] * repeats,
+        workers=args.workers,
+        warm_start=not args.no_warm_start,
         households=args.households,
         max_probes=args.probes,
-        workers=args.workers,
         seed=args.seed,
         build=args.build,
         snapshot_max_spans=args.max_spans,
         chaos=chaos,
         detect=args.detect,
     )
-    design = vendor(args.vendor)
-    repeats = max(1, args.repeat)
-    results = []
-    if args.pool:
-        from repro.parallel import WorkerPool
-
-        with WorkerPool(
-            workers=args.workers, warm_start=not args.no_warm_start
-        ) as pool:
-            for _ in range(repeats):
-                results.append(
-                    run_campaign(design, worker_pool=pool, **campaign_kwargs)
-                )
-    else:
-        for _ in range(repeats):
-            results.append(run_campaign(design, **campaign_kwargs))
     result = results[-1]
     if args.format == "json":
         payload = {
-            "report": result.to_dict(include_pool=args.pool),
+            "report": result.to_dict(include_pool=result.pool_stats is not None),
             "snapshot": result.snapshot,
         }
         if repeats > 1:
@@ -535,9 +522,8 @@ def _cmd_designs(args: argparse.Namespace) -> str:
 def _cmd_snapshot(args: argparse.Namespace) -> str:
     import json
 
-    from repro.cloud.persistence import snapshot_json
     from repro.cloud.service import CloudService
-    from repro.cloud.state import migrate_snapshot, snapshot_store_counts
+    from repro.cloud.state import snapshot_json, snapshot_store_counts
     from repro.fleet import FleetDeployment
     from repro.net.network import Network
     from repro.sim.environment import Environment
@@ -562,15 +548,12 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
         data = json.load(handle)
 
     if args.action == "inspect":
-        migrated = migrate_snapshot(data)
         counts = snapshot_store_counts(data)
         lines = [
             f"snapshot {args.path}:",
-            f"  version: {data.get('version')}"
-            + ("" if data.get("version") == migrated["version"]
-               else f" (migrates to v{migrated['version']})"),
-            f"  design:  {migrated.get('design')}",
-            f"  time:    t={migrated.get('time', 0.0):.3f}",
+            f"  version: {data.get('version')}",
+            f"  design:  {data.get('design')}",
+            f"  time:    t={data.get('time', 0.0):.3f}",
             "  stores:",
         ]
         lines.extend(
@@ -584,7 +567,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
     network = Network(env)
     cloud = CloudService.restore(env, network, design, data)
     resaved = json.loads(snapshot_json(cloud))
-    round_trip = resaved["stores"] == migrate_snapshot(data)["stores"]
+    round_trip = resaved["stores"] == data["stores"]
     lines = [
         f"restored {design.name} snapshot from {args.path}:",
     ]
@@ -813,17 +796,15 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--detect", action="store_true",
                           help="attach the read-only detection pipeline "
                                "and score it against ground truth")
-    campaign.add_argument("--pool", action="store_true",
-                          help="run shards through a persistent worker pool "
-                               "(heartbeats, crash-respawn, warm-started "
-                               "worlds) instead of spawn-per-shard")
     campaign.add_argument("--no-warm-start", action="store_true",
-                          help="with --pool: always rebuild worlds cold "
-                               "instead of restoring cached world images")
+                          help="with --repeat: rebuild every repeat's worlds "
+                               "cold instead of restoring cached world images")
     campaign.add_argument("--repeat", type=int, default=1,
-                          help="run the campaign N times (with --pool the "
-                               "pool persists across repeats, so repeats "
-                               "warm-start); reports the last run")
+                          help="run the campaign N times; with --workers > 1 "
+                               "the repeats share one persistent worker pool "
+                               "(heartbeats, crash-respawn, warm-started "
+                               "worlds), with one worker an in-process image "
+                               "cache; reports the last run")
     campaign.set_defaults(run=_cmd_campaign)
 
     chaos = sub.add_parser(

@@ -11,8 +11,8 @@ See ``docs/state.md``.  Public surface:
   injection);
 * :func:`~repro.cloud.state.snapshot.build_snapshot` /
   :func:`~repro.cloud.state.snapshot.load_snapshot` /
-  :func:`~repro.cloud.state.snapshot.migrate_snapshot` — self-describing
-  snapshot v2 plus the v1 migration shim;
+  :func:`~repro.cloud.state.snapshot.snapshot_json` — self-describing
+  snapshot v2;
 * :func:`~repro.cloud.state.journal.recover_from_journal` — replay-based
   crash recovery.
 """
@@ -39,8 +39,8 @@ from repro.cloud.state.snapshot import (
     SNAPSHOT_VERSION,
     build_snapshot,
     load_snapshot,
-    migrate_snapshot,
     rebuild_shadow_projection,
+    snapshot_json,
     snapshot_store_counts,
 )
 
@@ -59,8 +59,8 @@ __all__ = [
     "load_snapshot",
     "merge_state_counts",
     "meta_entry",
-    "migrate_snapshot",
     "rebuild_shadow_projection",
     "recover_from_journal",
+    "snapshot_json",
     "snapshot_store_counts",
 ]

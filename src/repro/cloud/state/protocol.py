@@ -3,7 +3,7 @@
 The simulated cloud keeps its authoritative binding state in seven
 bespoke stores (accounts, tokens, device registry, bindings, shares,
 shadows, relay, events).  Before this layer existed, each had its own
-hand-enumerated serialization in ``cloud/persistence.py`` and the fleet
+hand-enumerated serialization (snapshot v1) and the fleet
 clone fast path mutated store internals directly — exactly the class of
 cross-component state inconsistency the logic-bug literature warns
 about.  :class:`StateStore` is the single contract they all implement

@@ -1,9 +1,8 @@
 """Self-describing snapshot v2: every store contributes its own section.
 
-Snapshot v1 (the original ``cloud/persistence.py``) hand-enumerated
-every field of every store in one 120-line function — adding a store
-column meant editing the serializer, the deserializer and every test
-fixture in lockstep.  Version 2 is generic: the cloud asks each durable
+A production IoT cloud restarts without dropping its customers'
+bindings; snapshots give the simulated cloud the same property.  The
+format is generic: the cloud asks each durable
 :class:`~repro.cloud.state.protocol.StateStore` for its records and
 stores them under the store's own ``state_name``::
 
@@ -30,18 +29,18 @@ of the registry and the binding table, and a cloud restart is a *mass
 offline event* (Figure 2's timeout arcs) — so :func:`load_snapshot`
 rebuilds every shadow in its offline state (``bound`` for bound
 devices, ``initial`` otherwise) and lets the next heartbeats bring the
-fleet back, exactly as v1 did.
+fleet back.  ``tests/test_cloud_persistence.py`` verifies that the
+restart is invisible to bound users apart from that blip.
 
-v1 snapshots still load: :func:`migrate_snapshot` lifts them to the v2
-shape (the ``schedules`` dict becomes ``relay`` records; the ``events``
-section, which v1 never captured, migrates empty).
+Version 2 is the only version: a document of any other version is
+rejected with :class:`~repro.core.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List
+import json
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.cloud.state.protocol import Record
 from repro.core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,33 +64,22 @@ def build_snapshot(cloud: "CloudService") -> Dict[str, Any]:
     }
 
 
-def migrate_snapshot(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Lift a snapshot to the v2 shape (v2 passes through unchanged)."""
+def snapshot_json(cloud: "CloudService") -> str:
+    """The snapshot as a JSON document (what would hit durable storage).
+
+    Records are key-sorted by their stores and objects are serialized
+    with ``sort_keys``, so save -> load -> save is byte-identical.
+    """
+    return json.dumps(build_snapshot(cloud), sort_keys=True)
+
+
+def _check_version(data: Dict[str, Any]) -> None:
     version = data.get("version")
-    if version == SNAPSHOT_VERSION:
-        return data
-    if version == 1:
-        schedules = data.get("schedules", {})
-        stores: Dict[str, List[Record]] = {
-            "accounts": list(data.get("accounts", [])),
-            "tokens": list(data.get("tokens", [])),
-            "devices": list(data.get("devices", [])),
-            "bindings": list(data.get("bindings", [])),
-            "shares": list(data.get("shares", [])),
-            "relay": [
-                {"device_id": device_id, "schedule": dict(schedule)}
-                for device_id, schedule in sorted(schedules.items())
-            ],
-            # v1 never captured notification feeds; they migrate empty.
-            "events": [],
-        }
-        return {
-            "version": SNAPSHOT_VERSION,
-            "design": data.get("design"),
-            "time": data.get("time", 0.0),
-            "stores": stores,
-        }
-    raise ConfigurationError(f"unsupported snapshot version {version!r}")
+    if version != SNAPSHOT_VERSION:
+        raise ConfigurationError(
+            f"unsupported snapshot version {version!r} "
+            f"(expected {SNAPSHOT_VERSION})"
+        )
 
 
 def rebuild_shadow_projection(cloud: "CloudService") -> None:
@@ -111,8 +99,8 @@ def rebuild_shadow_projection(cloud: "CloudService") -> None:
 
 
 def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
-    """Load a (v1 or v2) snapshot into a *fresh* cloud of the same design."""
-    data = migrate_snapshot(data)
+    """Load a v2 snapshot into a *fresh* cloud of the same design."""
+    _check_version(data)
     if data.get("design") != cloud.design.name:
         raise ConfigurationError(
             f"snapshot is for design {data.get('design')!r}, "
@@ -137,8 +125,8 @@ def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
 
 
 def snapshot_store_counts(data: Dict[str, Any]) -> Dict[str, int]:
-    """Per-section record counts of a (v1 or v2) snapshot dict."""
-    migrated = migrate_snapshot(data)
+    """Per-section record counts of a v2 snapshot dict."""
+    _check_version(data)
     return {
-        name: len(records) for name, records in sorted(migrated["stores"].items())
+        name: len(records) for name, records in sorted(data["stores"].items())
     }

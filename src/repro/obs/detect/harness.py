@@ -22,7 +22,7 @@ from repro.chaos.campaign import ChaosSpec
 from repro.cloud.policy import VendorDesign
 from repro.core.errors import ConfigurationError
 from repro.obs.detect.score import render_score
-from repro.parallel.engine import ShardedCampaignResult, run_campaign
+from repro.parallel.engine import ShardedCampaignResult, run_campaigns
 
 #: Table II attack class -> the fleet campaign that realizes it.
 ATTACK_CAMPAIGNS = {
@@ -44,7 +44,6 @@ def run_detection(
     run_seconds: float = 12.0,
     chaos: Optional[ChaosSpec] = None,
     trace_messages: bool = False,
-    pool: bool = False,
     warm_start: bool = True,
 ) -> Dict[str, ShardedCampaignResult]:
     """Run each attack class's campaign with detection attached.
@@ -52,19 +51,26 @@ def run_detection(
     Returns ``{attack_id: ShardedCampaignResult}`` in the order given;
     each result's ``.detection`` property is the merged score.
 
-    With ``pool=True`` every attack's campaign runs through one
-    persistent :class:`~repro.parallel.pool.WorkerPool`, so the A1/A3/A4
-    deployed-fleet attacks share one warm-started world per shard
-    instead of rebuilding it three times (A2 always builds cold — it
-    attacks factory-fresh fleets).  With ``workers=1`` the same
-    amortization happens in-process through a shared image cache.
-    Results are bit-identical either way.
+    The attacks run as one :func:`~repro.parallel.engine.run_campaigns`
+    sweep, so the A1/A3/A4 deployed-fleet attacks share one
+    warm-started world per shard instead of rebuilding it three times
+    (A2 always builds cold — it attacks factory-fresh fleets): through
+    one worker pool with several workers, through one in-process image
+    cache with one.  Results are bit-identical either way.
     """
-    runs: Dict[str, ShardedCampaignResult] = {}
-    campaign_kwargs = dict(
+    for attack_id in attacks:
+        if attack_id not in ATTACK_CAMPAIGNS:
+            raise ConfigurationError(
+                f"unknown attack class {attack_id!r}; "
+                f"expected one of {sorted(ATTACK_CAMPAIGNS)}"
+            )
+    results = run_campaigns(
+        design,
+        [ATTACK_CAMPAIGNS[attack_id] for attack_id in attacks],
+        workers=workers,
+        warm_start=warm_start,
         households=households,
         max_probes=max_probes,
-        workers=workers,
         seed=seed,
         shards=shards,
         run_seconds=run_seconds,
@@ -72,35 +78,7 @@ def run_detection(
         chaos=chaos,
         detect=True,
     )
-    for attack_id in attacks:
-        if attack_id not in ATTACK_CAMPAIGNS:
-            raise ConfigurationError(
-                f"unknown attack class {attack_id!r}; "
-                f"expected one of {sorted(ATTACK_CAMPAIGNS)}"
-            )
-    if pool and workers > 1:
-        from repro.parallel.pool import WorkerPool
-
-        with WorkerPool(workers=workers, warm_start=warm_start) as worker_pool:
-            for attack_id in attacks:
-                runs[attack_id] = run_campaign(
-                    design,
-                    campaign=ATTACK_CAMPAIGNS[attack_id],
-                    worker_pool=worker_pool,
-                    **campaign_kwargs,
-                )
-    else:
-        from repro.parallel.protocol import WorldImageCache
-
-        image_cache = WorldImageCache() if (pool or warm_start) and workers == 1 else None
-        for attack_id in attacks:
-            runs[attack_id] = run_campaign(
-                design,
-                campaign=ATTACK_CAMPAIGNS[attack_id],
-                image_cache=image_cache,
-                **campaign_kwargs,
-            )
-    return runs
+    return dict(zip(attacks, results))
 
 
 def detection_matrix(

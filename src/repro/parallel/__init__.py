@@ -2,11 +2,12 @@
 
 Partitions a fleet campaign into independent shards, fans the shards
 out across worker processes, and merges the per-shard reports, metrics
-and observability snapshots deterministically.  Shards run either
-spawn-per-shard or through a persistent :class:`WorkerPool` whose
-workers warm-start deployed worlds from cached images.  See
-``docs/parallelism.md`` for the shard model and its guarantees, and
-``docs/performance.md`` for the pool/warm-start cost model.
+and observability snapshots deterministically.  One campaign forks a
+process per shard; a sweep (:func:`run_campaigns`) shares one
+persistent :class:`WorkerPool` whose workers warm-start deployed worlds
+from cached images.  See ``docs/parallelism.md`` for the shard model
+and its guarantees, and ``docs/performance.md`` for the measurements
+behind the executor rule.
 """
 
 from repro.parallel.engine import (
@@ -16,6 +17,7 @@ from repro.parallel.engine import (
     ShardSpec,
     build_shard_specs,
     run_campaign,
+    run_campaigns,
     run_shard,
 )
 from repro.parallel.pool import PoolError, WorkerPool, WorkerTaskError
@@ -40,6 +42,7 @@ __all__ = [
     "derive_shard_seed",
     "partition",
     "run_campaign",
+    "run_campaigns",
     "run_shard",
     "world_key",
 ]

@@ -20,12 +20,21 @@ the results are merged deterministically:
 
 :func:`run_shard` is the spawn-safe worker entry point: a module-level
 function over a picklable :class:`ShardSpec`, so it works under every
-``multiprocessing`` start method.  The spawn-per-shard path prefers
-``fork`` where the platform offers it and falls back to ``spawn``;
-``run_campaign(pool=True)`` instead routes shards through a persistent
-:class:`~repro.parallel.pool.WorkerPool` whose workers warm-start
-deployed worlds from cached :class:`~repro.fleet.WorldImage`\\ s — see
-``docs/performance.md`` for the cost model of when each wins.
+``multiprocessing`` start method.
+
+The executor follows from the run's shape, never from a flag:
+
+* one worker or one shard runs in process (with an optional shared
+  :class:`~repro.parallel.protocol.WorldImageCache`);
+* one campaign over several workers forks per shard through a throwaway
+  stdlib pool (``fork`` where available, else ``spawn``) — no shard of
+  a single campaign shares a world with another, so a persistent pool
+  would only pay its start-up;
+* a sweep of several campaigns (:func:`run_campaigns`) over several
+  workers shares one :class:`~repro.parallel.pool.WorkerPool`, whose
+  workers warm-start the deployed worlds the campaigns have in common.
+
+``docs/performance.md`` has the measurements behind the rule.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import gc
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.attacks.campaign import (
     CampaignReport,
@@ -57,11 +66,9 @@ from repro.obs.detect.score import merge_detection, score_detection
 from repro.obs.export import merge_snapshots, snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
+from repro.parallel.pool import WorkerPool
 from repro.parallel.protocol import DEPLOYED_CAMPAIGNS, WorldImageCache, world_key
 from repro.parallel.shards import derive_shard_seed, partition
-
-if TYPE_CHECKING:  # import cycle guard: pool imports engine lazily
-    from repro.parallel.pool import WorkerPool
 
 #: Campaigns the engine can shard.
 CAMPAIGNS = ("binding-dos", "mass-unbind", "shadow-probe", "mass-rebind")
@@ -303,7 +310,7 @@ class ShardedCampaignResult:
     wall_seconds: float
     details: List[str] = field(default_factory=list)
     #: :meth:`WorkerPool.stats` when the campaign ran through a
-    #: persistent pool; ``None`` on spawn-per-shard and inline runs
+    #: persistent pool; ``None`` on fork-per-shard and inline runs
     pool_stats: Optional[Dict[str, Any]] = None
 
     @property
@@ -539,16 +546,15 @@ class ShardedCampaignResult:
         return "\n".join(lines)
 
 
-def _pool_context(mp_start: Optional[str]) -> multiprocessing.context.BaseContext:
-    """The multiprocessing context to fan out with.
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """The context one campaign forks its shards with.
 
-    Prefers ``fork`` (cheap worker start; available on POSIX) and falls
-    back to ``spawn`` — :func:`run_shard` is spawn-safe either way.
+    ``fork`` where the platform offers it (the child inherits the
+    imported package, so it starts without importing anything), else
+    ``spawn`` — :func:`run_shard` is spawn-safe either way.
     """
     methods = multiprocessing.get_all_start_methods()
-    if mp_start is None:
-        mp_start = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(mp_start)
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def build_shard_specs(
@@ -617,40 +623,31 @@ def run_campaign(
     run_seconds: float = 12.0,
     trace_messages: bool = True,
     snapshot_max_spans: Optional[int] = None,
-    mp_start: Optional[str] = None,
     chaos: Optional[ChaosSpec] = None,
     detect: bool = False,
-    pool: bool = False,
-    warm_start: bool = True,
-    worker_pool: Optional["WorkerPool"] = None,
+    worker_pool: Optional[WorkerPool] = None,
     image_cache: Optional[WorldImageCache] = None,
 ) -> ShardedCampaignResult:
     """Run one fleet campaign sharded across *workers* processes.
 
-    With ``workers=1`` (one shard) everything runs in-process and the
-    result bit-matches the serial ``campaign_*`` path for the same
-    seed.  With more workers, *shards* (default: one per worker) shards
-    are mapped over worker processes and merged in shard order:
-    reports via :meth:`CampaignReport.merge`, metrics into one
+    *shards* (default: one per worker) shards run and merge in shard
+    order: reports via :meth:`CampaignReport.merge`, metrics into one
     registry, observability snapshots via
     :func:`~repro.obs.export.merge_snapshots` with shard provenance.
+    The executor follows from the arguments, and every executor
+    produces bit-identical campaign results for the same specs:
 
-    Three execution strategies, all producing bit-identical campaign
-    results for the same specs:
+    * ``worker_pool=...`` — a caller-owned started
+      :class:`~repro.parallel.pool.WorkerPool`, whose workers keep their
+      world images across the caller's campaigns;
+    * one worker or one shard — in process, bit-matching the serial
+      ``campaign_*`` path for the same seed; sharing one *image_cache*
+      across calls warm-starts repeat campaigns with no processes;
+    * otherwise — one forked process per shard through a throwaway
+      stdlib pool.
 
-    * default — spawn-per-shard via a throwaway ``multiprocessing``
-      pool (``mp_start`` picks the start method);
-    * ``pool=True`` — a :class:`~repro.parallel.pool.WorkerPool` of
-      persistent workers with heartbeat, per-task timeout and
-      crash-respawn; ``warm_start`` (default on) lets workers restore
-      cached world images instead of rebuilding deployed fleets;
-    * ``worker_pool=...`` — reuse a caller-owned started pool across
-      campaigns, amortizing worker start *and* world builds over a
-      whole sweep (``pool``/``warm_start``/``mp_start`` are ignored).
-
-    ``image_cache`` serves the in-process paths (``workers=1`` or a
-    single shard): sharing one cache across calls warm-starts repeat
-    campaigns without any worker processes at all.
+    Sweeps of several campaigns go through :func:`run_campaigns`, which
+    picks the pool or the shared cache for them.
     """
     if workers < 1:
         raise ConfigurationError("need at least one worker")
@@ -668,19 +665,8 @@ def run_campaign(
         pool_stats = worker_pool.stats()
     elif workers == 1 or len(specs) == 1:
         results = [run_shard(spec, image_cache=image_cache) for spec in specs]
-    elif pool:
-        from repro.parallel.pool import WorkerPool
-
-        with WorkerPool(
-            workers=min(workers, len(specs)),
-            mp_start=mp_start,
-            warm_start=warm_start,
-        ) as owned_pool:
-            results = owned_pool.run(specs)
-            pool_stats = owned_pool.stats()
     else:
-        context = _pool_context(mp_start)
-        with context.Pool(processes=min(workers, len(specs))) as mp_pool:
+        with _pool_context().Pool(processes=min(workers, len(specs))) as mp_pool:
             results = mp_pool.map(run_shard, specs)
     wall = time.perf_counter() - started
 
@@ -706,3 +692,45 @@ def run_campaign(
         wall_seconds=wall,
         pool_stats=pool_stats,
     )
+
+
+def run_campaigns(
+    design: VendorDesign,
+    campaigns: Sequence[str],
+    workers: int = 1,
+    warm_start: bool = True,
+    **common: Any,
+) -> List[ShardedCampaignResult]:
+    """Run a sweep of campaigns over one design, one result per campaign.
+
+    *common* carries the :func:`run_campaign` arguments every campaign
+    shares (households, probes, seed, shards, detection, …).  Deployed
+    campaigns over the same world share one
+    :func:`~repro.parallel.protocol.world_key`, so a sweep reuses what
+    its first campaign built:
+
+    * several campaigns over several workers share one
+      :class:`~repro.parallel.pool.WorkerPool`, whose workers warm-start
+      later campaigns from their cached world images;
+    * several campaigns in one worker share one
+      :class:`~repro.parallel.protocol.WorldImageCache`;
+    * a single campaign runs as plain :func:`run_campaign`.
+
+    ``warm_start=False`` rebuilds every world cold (the pool still
+    serves a multi-worker sweep).  Results are bit-identical to running
+    each campaign alone.
+    """
+    campaigns = list(campaigns)
+    if len(campaigns) > 1 and workers > 1:
+        with WorkerPool(workers, warm_start=warm_start) as pool:
+            return [
+                run_campaign(design, campaign, workers=workers,
+                             worker_pool=pool, **common)
+                for campaign in campaigns
+            ]
+    cache = WorldImageCache() if warm_start and len(campaigns) > 1 else None
+    return [
+        run_campaign(design, campaign, workers=workers, image_cache=cache,
+                     **common)
+        for campaign in campaigns
+    ]

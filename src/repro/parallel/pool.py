@@ -1,13 +1,11 @@
 """The persistent worker pool: long-lived shard runners with warm starts.
 
-The spawn-per-shard path (``context.Pool.map`` in
-``repro.parallel.engine``) pays process start-up, interpreter import
-and — for deployed campaigns — a full fleet build + Figure 1 setup +
-settling run *per shard, per campaign*.  On small shards that overhead
-dwarfs the campaign itself, which is how a "parallel" run ends up
-slower than serial (``benchmarks/output/BENCH_parallel.json`` measured
-0.59x at 4 workers on a 1-CPU box).  This pool keeps the workers
-alive instead:
+The fork-per-shard path (``context.Pool.map`` in
+``repro.parallel.engine``) pays process start-up and — for deployed
+campaigns — a full fleet build + Figure 1 setup + settling run *per
+shard, per campaign*.  Over a sweep of campaigns that overhead repeats
+for every campaign.  This pool keeps the workers alive instead, and
+``repro.parallel.engine.run_campaigns`` shares one across a sweep:
 
 * each worker slot owns a dedicated task queue and a dedicated outbound
   queue (heartbeats + results), so one crashed writer can never corrupt
@@ -69,6 +67,9 @@ HEARTBEAT_GRACE = 40
 #: How many times one task may be dispatched before the pool gives up.
 MAX_TASK_ATTEMPTS = 3
 
+#: World images each worker keeps (LRU).
+IMAGE_CACHE_ENTRIES = 4
+
 
 class PoolError(RuntimeError):
     """The pool cannot make progress (task retries exhausted)."""
@@ -86,13 +87,9 @@ class WorkerTaskError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def preferred_start_method(mp_start: Optional[str] = None) -> str:
-    """``forkserver`` > ``fork`` > ``spawn``, unless *mp_start* pins one."""
+def preferred_start_method() -> str:
+    """``forkserver`` > ``fork`` > ``spawn``, whichever the platform has."""
     methods = multiprocessing.get_all_start_methods()
-    if mp_start is not None:
-        if mp_start not in methods:
-            raise PoolError(f"start method {mp_start!r} unavailable on this platform")
-        return mp_start
     for method in ("forkserver", "fork", "spawn"):
         if method in methods:
             return method
@@ -120,9 +117,7 @@ def _worker_main(
     slot: int,
     task_queue: Any,
     out_queue: Any,
-    heartbeat_interval: float,
     warm_start: bool,
-    cache_entries: int,
 ) -> None:
     """Worker process entry point: loop tasks until :class:`Shutdown`.
 
@@ -131,7 +126,7 @@ def _worker_main(
     module for the pooled execution path) and the entry point works
     under every start method.
     """
-    cache = WorldImageCache(max_entries=cache_entries) if warm_start else None
+    cache = WorldImageCache(max_entries=IMAGE_CACHE_ENTRIES) if warm_start else None
     out_queue.put(WorkerHello(worker=slot, pid=os.getpid()))
 
     stop = threading.Event()
@@ -144,7 +139,7 @@ def _worker_main(
             except Exception:  # pragma: no cover - queue torn down mid-exit
                 return
             seq += 1
-            stop.wait(heartbeat_interval)
+            stop.wait(HEARTBEAT_INTERVAL)
 
     heartbeats = threading.Thread(target=beat, daemon=True)
     heartbeats.start()
@@ -231,23 +226,16 @@ class WorkerPool:
     def __init__(
         self,
         workers: int,
-        mp_start: Optional[str] = None,
         warm_start: bool = True,
-        heartbeat_interval: float = HEARTBEAT_INTERVAL,
         task_timeout: Optional[float] = None,
-        max_task_attempts: int = MAX_TASK_ATTEMPTS,
-        cache_entries: int = 4,
         observer: Any = None,
     ) -> None:
         if workers < 1:
             raise PoolError("need at least one worker")
         self.workers = workers
-        self.start_method = preferred_start_method(mp_start)
+        self.start_method = preferred_start_method()
         self.warm_start = warm_start
-        self.heartbeat_interval = heartbeat_interval
         self.task_timeout = task_timeout
-        self.max_task_attempts = max_task_attempts
-        self.cache_entries = cache_entries
         self._observer = observer
         self._context = multiprocessing.get_context(self.start_method)
         self._slots: List[_Slot] = [_Slot(index=i) for i in range(workers)]
@@ -311,9 +299,7 @@ class WorkerPool:
                 slot.index,
                 slot.task_queue,
                 slot.out_queue,
-                self.heartbeat_interval,
                 self.warm_start,
-                self.cache_entries,
             ),
             daemon=True,
         )
@@ -376,9 +362,9 @@ class WorkerPool:
         self, slot: _Slot, request: TaskRequest, attempts: Dict[int, int]
     ) -> None:
         count = attempts.get(request.task_id, 0) + 1
-        if count > self.max_task_attempts:
+        if count > MAX_TASK_ATTEMPTS:
             raise PoolError(
-                f"task {request.task_id} failed {self.max_task_attempts} "
+                f"task {request.task_id} failed {MAX_TASK_ATTEMPTS} "
                 "dispatch attempts (worker kept dying)"
             )
         attempts[request.task_id] = count
@@ -421,7 +407,7 @@ class WorkerPool:
         for slot in self._slots:
             waitables.append(slot.out_queue._reader)
             waitables.append(slot.process.sentinel)
-        wait(waitables, timeout=self.heartbeat_interval)
+        wait(waitables, timeout=HEARTBEAT_INTERVAL)
 
     def _absorb(
         self, slot: _Slot, message: TaskResult, results: Dict[int, Any], now: float
@@ -452,7 +438,7 @@ class WorkerPool:
     ) -> None:
         """Respawn any slot that is dead, silent, or past its deadline."""
         now = time.monotonic()
-        stale_after = self.heartbeat_interval * HEARTBEAT_GRACE
+        stale_after = HEARTBEAT_INTERVAL * HEARTBEAT_GRACE
         for slot in self._slots:
             dead = slot.process is not None and not slot.process.is_alive()
             silent = (

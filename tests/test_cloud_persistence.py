@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.cloud.persistence import SNAPSHOT_VERSION, restore, snapshot, snapshot_json
+from repro.cloud.state import SNAPSHOT_VERSION, snapshot_json
+from repro.cloud.state import build_snapshot as snapshot
+from repro.cloud.state import load_snapshot as restore
 from repro.cloud.service import CloudService
 from repro.core.errors import ConfigurationError
 from repro.scenario import Deployment
@@ -101,39 +103,11 @@ class TestRestore:
 
     def test_restore_rejects_unknown_version(self):
         world = build_world()
-        data = snapshot(world.cloud)
-        data["version"] = 99
-        other = Deployment(vendor("D-LINK"), seed=83)
-        fresh_like = other.cloud
-        with pytest.raises(ConfigurationError):
-            restore(fresh_like, data)
+        for version in (1, 99):
+            data = snapshot(world.cloud)
+            data["version"] = version
+            other = Deployment(vendor("D-LINK"), seed=83)
+            fresh_like = other.cloud
+            with pytest.raises(ConfigurationError, match=f"version {version}"):
+                restore(fresh_like, data)
 
-
-class TestV1Migration:
-    def test_v1_snapshot_loads_through_shim(self):
-        """A hand-built v1 document (the old format) still restores."""
-        world = build_world()
-        v2 = snapshot(world.cloud)
-        stores = v2["stores"]
-        v1 = {
-            "version": 1,
-            "design": v2["design"],
-            "time": v2["time"],
-            "accounts": stores["accounts"],
-            "tokens": stores["tokens"],
-            "devices": stores["devices"],
-            "bindings": stores["bindings"],
-            "shares": stores["shares"],
-            "schedules": {
-                record["device_id"]: dict(record["schedule"])
-                for record in stores["relay"]
-            },
-        }
-        world.cloud.shutdown()
-        fresh = CloudService.restore(world.env, world.network, world.design, v1)
-        world.cloud = fresh
-        assert world.bound_user() == world.victim.user_id
-        response = world.victim.app.query(world.victim.device.device_id)
-        assert response.payload["schedule"] == {"on": "19:00"}
-        # re-saving the migrated world yields a v2 document
-        assert snapshot(fresh)["version"] == SNAPSHOT_VERSION

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.stealth import probe_attack_detectability
 from repro.chaos import ChaosSpec, FaultInjector, FaultPlan, LinkFault, apply_chaos
 from repro.cli import main
-from repro.cloud.persistence import snapshot
+from repro.cloud.state import build_snapshot as snapshot
 from repro.cloud.policy import DeviceAuthMode, VendorDesign
 from repro.cloud.service import CloudService
 from repro.core.messages import BindMessage, Response

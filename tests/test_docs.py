@@ -1,8 +1,9 @@
 """The docs lint (tools/check_docs.py) as a tier-1 test.
 
 Every relative link in README.md and docs/*.md must resolve, and every
-``repro`` CLI subcommand the docs mention must exist in
-``repro.cli.build_parser`` — so the docs cannot drift from the code.
+``repro`` CLI subcommand the docs mention, with every flag they pass
+it, must exist in ``repro.cli.build_parser`` — so the docs cannot drift
+from the code.
 """
 
 import pathlib
@@ -52,3 +53,18 @@ def test_lint_accepts_known_commands_and_external_links(tmp_path):
     )
     assert check_docs.check_links(page) == []
     assert check_docs.check_cli_mentions(page, {"campaign"}) == []
+
+
+def test_lint_catches_a_stale_cli_flag(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "run `repro campaign --frobnicate` or\n"
+        "`repro campaign --repeat 3` or\n"
+        "    python -m repro campaign --workers 2 \\\n"
+        "        --frobnicate  # a continuation line\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_cli_flags(page, check_docs.cli_options())
+    assert len(errors) == 2
+    assert all("'repro campaign --frobnicate'" in error for error in errors)
+    assert [error.split(":")[1] for error in errors] == ["1", "3"]

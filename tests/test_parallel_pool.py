@@ -1,14 +1,13 @@
 """Persistent worker pool + snapshot warm-start.
 
 The load-bearing guarantee: every execution strategy — serial
-in-process, spawn-per-shard, persistent pool, warm-started worlds,
+in-process, fork-per-shard, persistent pool, warm-started worlds,
 crash-respawned workers — produces *bit-identical* campaign results:
 reports, metric snapshots, audit trails, forensic timelines, state
 counts.  The pool is an engine concern; it must never leak into what
 the campaigns measure.
 """
 
-import os
 import pickle
 
 import pytest
@@ -16,7 +15,7 @@ import pytest
 from repro.chaos import ChaosSpec
 from repro.core.errors import ConfigurationError
 from repro.fleet import FleetDeployment, WorldImage
-from repro.obs.detect.harness import run_detection
+from repro.obs.detect.harness import detection_matrix, run_detection
 from repro.obs.runtime import Observability
 from repro.parallel import (
     DEPLOYED_CAMPAIGNS,
@@ -27,6 +26,7 @@ from repro.parallel import (
     WorldImageCache,
     build_shard_specs,
     run_campaign,
+    run_campaigns,
     run_shard,
     world_key,
 )
@@ -283,10 +283,15 @@ class TestPoolEquality:
         kwargs.update(overrides)
         return run_campaign(vendor("OZWI"), **kwargs)
 
+    def pooled(self, workers=2, warm_start=True, **overrides):
+        """One campaign through a caller-owned pool sized to its shards."""
+        with WorkerPool(workers=min(workers, 2), warm_start=warm_start) as pool:
+            return self.run(workers=workers, worker_pool=pool, **overrides)
+
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pooled_matches_serial(self, workers):
         serial = self.run()
-        pooled = self.run(workers=workers, pool=True)
+        pooled = self.pooled(workers=workers)
         assert self.comparable(pooled) == self.comparable(serial)
         assert self.shard_payloads(pooled) == self.shard_payloads(serial)
         assert pooled.pool_stats is not None
@@ -294,7 +299,7 @@ class TestPoolEquality:
 
     def test_pooled_without_warm_start_matches_serial(self):
         serial = self.run()
-        pooled = self.run(workers=2, pool=True, warm_start=False)
+        pooled = self.pooled(warm_start=False)
         assert self.comparable(pooled) == self.comparable(serial)
         assert pooled.pool_stats["warm_starts"] == 0
         assert pooled.pool_stats["cold_builds"] == 2
@@ -302,14 +307,14 @@ class TestPoolEquality:
     def test_pooled_chaos_matches_serial_chaos(self):
         chaos = ChaosSpec(plan="lossy-lan", intensity=0.5)
         serial = self.run(chaos=chaos)
-        pooled = self.run(workers=2, pool=True, chaos=chaos)
+        pooled = self.pooled(chaos=chaos)
         assert self.comparable(pooled) == self.comparable(serial)
         # chaos shards never warm-start
         assert all(r.world_source == "cold" for r in pooled.shard_results)
 
     def test_pooled_detection_matches_serial(self):
         serial = self.run(detect=True)
-        pooled = self.run(workers=2, pool=True, detect=True)
+        pooled = self.pooled(detect=True)
         assert serial.detection is not None
         assert pooled.detection == serial.detection
 
@@ -326,7 +331,7 @@ class TestPoolEquality:
         assert all(r.world_source == "warm" for r in second.shard_results)
 
     def test_pool_stats_stay_out_of_default_dict(self):
-        pooled = self.run(workers=2, pool=True)
+        pooled = self.pooled()
         assert "pool" not in pooled.to_dict()
         with_pool = pooled.to_dict(include_pool=True)
         assert with_pool["pool"]["tasks"] == 2
@@ -375,6 +380,71 @@ class TestPoolEquality:
         for attack_id in cold:
             assert cold[attack_id].to_dict() == warm[attack_id].to_dict()
             assert cold[attack_id].detection == warm[attack_id].detection
+
+
+class TestExecutorRule:
+    """The executor follows from the run's shape, never from a flag."""
+
+    SWEEP = ("shadow-probe", "mass-unbind", "mass-rebind")
+    KWARGS = dict(households=8, max_probes=24, seed=3, shards=2)
+
+    def comparable(self, results):
+        return [
+            {key: value for key, value in r.to_dict().items() if key != "workers"}
+            for r in results
+        ]
+
+    def test_sweep_over_workers_shares_one_pool(self):
+        design = vendor("OZWI")
+        serial = run_campaigns(design, self.SWEEP, workers=1, **self.KWARGS)
+        pooled = run_campaigns(design, self.SWEEP, workers=2, **self.KWARGS)
+        assert self.comparable(pooled) == self.comparable(serial)
+        stats = pooled[-1].pool_stats
+        # shadow-probe builds both shard worlds; the other two restore them
+        assert stats["tasks"] == 6
+        assert stats["cold_builds"] == 2
+        assert stats["warm_starts"] == 4
+
+    def test_single_campaign_runs_without_pool(self):
+        design = vendor("OZWI")
+        (result,) = run_campaigns(design, ["mass-unbind"], workers=2,
+                                  **self.KWARGS)
+        assert result.pool_stats is None
+        assert run_campaign(design, campaign="mass-unbind", workers=2,
+                            **self.KWARGS).pool_stats is None
+
+    def test_one_worker_repeats_warm_start_through_a_shared_cache(self):
+        first, second = run_campaigns(
+            vendor("OZWI"), ["mass-unbind"] * 2, workers=1, **self.KWARGS
+        )
+        assert first.pool_stats is None and second.pool_stats is None
+        assert all(r.world_source == "cold" for r in first.shard_results)
+        assert all(r.world_source == "warm" for r in second.shard_results)
+        assert first.to_dict() == second.to_dict()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_start_off_runs_everything_cold(self, workers):
+        results = run_campaigns(vendor("OZWI"), self.SWEEP, workers=workers,
+                                warm_start=False, **self.KWARGS)
+        assert all(
+            shard.world_source == "cold"
+            for result in results for shard in result.shard_results
+        )
+        if workers > 1:
+            assert results[-1].pool_stats["warm_starts"] == 0
+
+    def test_detection_over_workers_shares_one_world(self):
+        design = vendor("OZWI")
+        kwargs = dict(households=4, max_probes=12, seed=1, shards=2)
+        serial = run_detection(design, workers=1, **kwargs)
+        pooled = run_detection(design, workers=2, **kwargs)
+        # A1 builds both shard worlds, A2 attacks fresh fleets (cold),
+        # A3 and A4 restore A1's worlds
+        assert pooled["A4"].pool_stats["warm_starts"] == 4
+        assert [r.world_source for r in pooled["A1"].shard_results] == [
+            "cold", "cold"
+        ]
+        assert detection_matrix(pooled) == detection_matrix(serial)
 
 
 class TestPoolRobustness:
@@ -438,10 +508,8 @@ class TestPoolRobustness:
         assert task_overdue(10.0, 16.0, 5.0)
 
     def test_preferred_start_method(self):
-        method = preferred_start_method(None)
+        method = preferred_start_method()
         assert method in ("forkserver", "fork", "spawn")
-        with pytest.raises(PoolError):
-            preferred_start_method("no-such-start-method")
 
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(PoolError):

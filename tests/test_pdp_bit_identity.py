@@ -24,7 +24,7 @@ from repro.attacks.campaign import campaign_mass_unbind, campaign_shadow_probe
 from repro.fleet import FleetDeployment
 from repro.obs.detect.harness import run_detection
 from repro.obs.runtime import Observability
-from repro.parallel import run_campaign
+from repro.parallel import WorkerPool, run_campaign
 from repro.secure.designs import SECURE_BASELINES
 from repro.vendors.profiles import STUDIED_VENDORS
 
@@ -84,11 +84,12 @@ def serial_fingerprint(design, seed):
 
 def pooled_result(design, seed, workers):
     """Merged result dict from a sharded mass-unbind campaign (2 shards)."""
-    result = run_campaign(
-        design, campaign="mass-unbind", households=6, max_probes=24,
-        workers=workers, shards=2, seed=seed, pool=workers > 1,
-    )
-    return result.to_dict()
+    kwargs = dict(campaign="mass-unbind", households=6, max_probes=24,
+                  workers=workers, shards=2, seed=seed)
+    if workers == 1:
+        return run_campaign(design, **kwargs).to_dict()
+    with WorkerPool(workers=workers) as pool:
+        return run_campaign(design, worker_pool=pool, **kwargs).to_dict()
 
 
 def detection_fingerprint(design):

@@ -1,9 +1,9 @@
 """Tests for the unified cloud state layer (repro.cloud.state).
 
-Covers the four satellite scenarios from the refactor issue: v2
-save -> load -> save byte equality, v1 -> v2 migration, journal replay
-after a truncated tail, and clone-built vs replay-built fleet state
-equality — plus unit coverage of the record primitives and backends.
+Covers v2 save -> load -> save byte equality, the snapshot version
+check, journal replay after a truncated tail, and clone-built vs
+replay-built fleet state equality — plus unit coverage of the record
+primitives and backends.
 """
 
 import json
@@ -13,7 +13,6 @@ import pytest
 from repro.cloud.service import CloudService
 from repro.cloud.sharing import ShareStore
 from repro.cloud.state import (
-    SNAPSHOT_VERSION,
     JournalBackend,
     JournalCrash,
     MemoryBackend,
@@ -22,7 +21,6 @@ from repro.cloud.state import (
     build_snapshot,
     merge_state_counts,
     meta_entry,
-    migrate_snapshot,
     recover_from_journal,
     snapshot_store_counts,
 )
@@ -229,58 +227,15 @@ class TestSnapshotRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# v1 -> v2 migration shim
+# snapshot versions
 # ---------------------------------------------------------------------------
 
 
 class TestMigration:
-    V1 = {
-        "version": 1,
-        "design": "D-LINK",
-        "time": 99.5,
-        "accounts": [{"user_id": "alice@example.com"}],
-        "tokens": [],
-        "devices": [{"device_id": "d1"}],
-        "bindings": [{"device_id": "d1", "user_id": "alice@example.com"}],
-        "shares": [],
-        "schedules": {"d2": {"on": "19:00"}, "d1": {"off": "23:00"}},
-    }
-
-    def test_v2_documents_pass_through_unchanged(self):
-        world = build_world()
-        data = build_snapshot(world.cloud)
-        assert migrate_snapshot(data) is data
-
-    def test_v1_lifts_to_the_v2_shape(self):
-        lifted = migrate_snapshot(self.V1)
-        assert lifted["version"] == SNAPSHOT_VERSION
-        assert lifted["design"] == "D-LINK"
-        assert lifted["time"] == 99.5
-        assert set(lifted["stores"]) == {
-            "accounts", "tokens", "devices", "bindings",
-            "shares", "relay", "events",
-        }
-        # the schedules dict becomes sorted relay records
-        assert lifted["stores"]["relay"] == [
-            {"device_id": "d1", "schedule": {"off": "23:00"}},
-            {"device_id": "d2", "schedule": {"on": "19:00"}},
-        ]
-        # v1 never captured notification feeds; they migrate empty
-        assert lifted["stores"]["events"] == []
-
     def test_unknown_version_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            migrate_snapshot({"version": 99})
-
-    def test_store_counts_work_on_both_versions(self):
-        assert snapshot_store_counts(self.V1) == {
-            "accounts": 1, "bindings": 1, "devices": 1, "events": 0,
-            "relay": 2, "shares": 0, "tokens": 0,
-        }
-        world = build_world()
-        counts = snapshot_store_counts(build_snapshot(world.cloud))
-        assert counts["bindings"] == 1
-        assert counts["relay"] == 1
+        for version in (1, 99):
+            with pytest.raises(ConfigurationError, match=f"version {version}"):
+                snapshot_store_counts({"version": version, "stores": {}})
 
 
 # ---------------------------------------------------------------------------
